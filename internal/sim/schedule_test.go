@@ -1,12 +1,20 @@
-// Differential tests of the recorded-schedule timing fold: for every
-// bundled app, folding a recorded schedule must reproduce the live run's
-// Result exactly — same floats, same event logs, same accounting — under
-// noise, tracing, and explain logging. This is the foundation the
-// incremental path (delta.go) stands on.
+// Pinned-result tests of the simulator: every bundled app's default
+// mapping must reproduce testdata/results.golden bit for bit through each
+// entry point — Simulate, a recording RunKeyed, and a folding RunKeyed —
+// with noise, tracing, and copy logging on and off. The incremental path
+// (delta.go) is held to the same Results by delta_test.go.
 package sim
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"automap/internal/apps"
@@ -94,52 +102,176 @@ func requireSameResult(t *testing.T, ctx string, got, want *Result) {
 	}
 }
 
-// TestFoldMatchesLiveRun replays each app's default mapping through the
-// schedule fold and requires the Result to equal a fresh full simulation
-// bit for bit — with noise, tracing, and copy logging all on.
-func TestFoldMatchesLiveRun(t *testing.T) {
+
+// goldenConfigs are the simulation configs pinned in
+// testdata/results.golden.
+var goldenConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"noiseless", Config{}},
+	{"sigma0.04-seed42-trace-explain", Config{NoiseSigma: 0.04, Seed: 42, Trace: true, Explain: true}},
+	{"sigma0.1-seed7-trace-explain", Config{NoiseSigma: 0.1, Seed: 7, Trace: true, Explain: true}},
+	{"sigma0.05-seed3", Config{NoiseSigma: 0.05, Seed: 3}},
+}
+
+// resultDigest returns the hex SHA-256 of a canonical encoding of every
+// field of res: floats as their bits, maps in sorted key order, and every
+// Event and CopyEvent, with nil and empty logs and maps told apart.
+func resultDigest(res *Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	u := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(v float64) { u(math.Float64bits(v)) }
+	i := func(v int64) { u(uint64(v)) }
+	b := func(v bool) {
+		if v {
+			u(1)
+		} else {
+			u(0)
+		}
+	}
+	// header encodes a collection's nil flag and length.
+	header := func(isNil bool, n int) {
+		b(isNil)
+		i(int64(n))
+	}
+
+	f(res.MakespanSec)
+	header(res.TaskWallSec == nil, len(res.TaskWallSec))
+	tids := make([]taskir.TaskID, 0, len(res.TaskWallSec))
+	for tid := range res.TaskWallSec {
+		tids = append(tids, tid)
+	}
+	sort.Slice(tids, func(a, b int) bool { return tids[a] < tids[b] })
+	for _, tid := range tids {
+		i(int64(tid))
+		f(res.TaskWallSec[tid])
+	}
+	i(res.BytesCopied)
+	i(res.BytesOnNetwork)
+	i(int64(res.NumCopies))
+	i(int64(res.Spills))
+	header(res.PeakMemBytes == nil, len(res.PeakMemBytes))
+	for k := 0; k < machine.NumMemKinds; k++ {
+		if v, ok := res.PeakMemBytes[machine.MemKind(k)]; ok {
+			i(int64(k))
+			i(v)
+		}
+	}
+	header(res.Events == nil, len(res.Events))
+	for _, e := range res.Events {
+		i(int64(e.Task))
+		i(int64(e.Node))
+		i(int64(e.Kind))
+		i(int64(e.Iteration))
+		f(e.StartSec)
+		f(e.CopySec)
+		f(e.DurSec)
+	}
+	header(res.Copies == nil, len(res.Copies))
+	for _, c := range res.Copies {
+		i(int64(c.SrcNode))
+		i(int64(c.DstNode))
+		i(int64(c.SrcKind))
+		i(int64(c.DstKind))
+		b(c.Network)
+		i(c.Bytes)
+		f(c.StartSec)
+		f(c.DoneSec)
+	}
+	header(res.ProcBusySec == nil, len(res.ProcBusySec))
+	for k := 0; k < machine.NumProcKinds; k++ {
+		if v, ok := res.ProcBusySec[machine.ProcKind(k)]; ok {
+			i(int64(k))
+			f(v)
+		}
+	}
+	f(res.EnergyJoules)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// readGolden loads testdata/results.golden as a map from each line's
+// "app nodes config" prefix to the whole line.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open("testdata/results.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 5 {
+			t.Fatalf("malformed golden line %q", sc.Text())
+		}
+		lines[strings.Join(fields[:3], " ")] = sc.Text()
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// TestResultsMatchGolden runs every bundled app's default mapping on
+// Shepard × {1, 2, 4} under each golden config and requires Simulate, a
+// recording RunKeyed (schedule cache dropped first), and a folding
+// RunKeyed (schedule cached) to reproduce the pinned line: the makespan's
+// float bits and the digest of the whole Result. On a mismatch it prints
+// the line it computed.
+func TestResultsMatchGolden(t *testing.T) {
+	want := readGolden(t)
+	seen := 0
 	for _, nodes := range []int{1, 2, 4} {
-		for name, g := range appProblems(t, nodes) {
+		probs := appProblems(t, nodes)
+		names := make([]string, 0, len(probs))
+		for name := range probs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			g := probs[name]
 			m := cluster.Shepard(nodes)
 			mp := mapping.Default(g, m.Model())
-			inst := New(m, g)
 			key := mp.Key()
-			cfg := Config{NoiseSigma: 0.04, Seed: 42, Trace: true, Explain: true}
-
-			want, err := Simulate(m, g, mp, cfg)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, nodes, err)
-			}
-			// First RunKeyed records; second folds the cached schedule.
-			first, err := inst.RunKeyed(key, mp, cfg)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, nodes, err)
-			}
-			requireSameResult(t, name+"/recorded-run", first, want)
-			if inst.schedFor(key) == nil {
-				t.Fatalf("%s/%d: no schedule cached after RunKeyed", name, nodes)
-			}
-			folded, err := inst.RunKeyed(key, mp, cfg)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", name, nodes, err)
-			}
-			requireSameResult(t, name+"/fold", folded, want)
-			// A different seed/noise draw must flow through the fold too.
-			cfg2 := Config{NoiseSigma: 0.1, Seed: 7, Trace: true, Explain: true}
-			want2, err := Simulate(m, g, mp, cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			folded2, err := inst.RunKeyed(key, mp, cfg2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, name+"/fold-reseeded", folded2, want2)
-			if t.Failed() {
-				t.Fatalf("%s/%d: fold mismatch", name, nodes)
+			inst := New(m, g)
+			for _, gc := range goldenConfigs {
+				id := fmt.Sprintf("%s %d %s", name, nodes, gc.name)
+				seen++
+				simulated, err := Simulate(m, g, mp, gc.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				inst.dropSchedule(key)
+				recorded, err := inst.RunKeyed(key, mp, gc.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				if inst.schedFor(key) == nil {
+					t.Fatalf("%s: no schedule cached after RunKeyed", id)
+				}
+				folded, err := inst.RunKeyed(key, mp, gc.cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				for _, r := range []struct {
+					path string
+					res  *Result
+				}{{"Simulate", simulated}, {"recording RunKeyed", recorded}, {"folding RunKeyed", folded}} {
+					got := fmt.Sprintf("%s %016x %s", id, math.Float64bits(r.res.MakespanSec), resultDigest(r.res))
+					if got != want[id] {
+						t.Errorf("%s: got line\n%s\nwant\n%s", r.path, got, want[id])
+					}
+				}
 			}
 		}
 	}
+	if seen != len(want) {
+		t.Errorf("golden file has %d lines, the test computes %d", len(want), seen)
+	}
 }
-
-var _ = machine.NumProcKinds // keep machine imported alongside future tests
