@@ -979,10 +979,6 @@ func (e *Evaluator) DeltaEvalStats() (incremental, fallback int64) {
 	return e.incEvals, e.fbEvals
 }
 
-// PlanCacheStats returns the simulator instance's placement-plan cache
-// hit/miss counters.
-func (e *Evaluator) PlanCacheStats() (hits, misses int64) { return e.inst.PlanCacheStats() }
-
 func inf() float64 { return math.Inf(1) }
 
 // Report is the outcome of a full driver search.

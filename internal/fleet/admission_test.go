@@ -3,14 +3,29 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
-// fakeClock is a hand-advanced telemetry.Clock.
-type fakeClock struct{ now float64 }
+// fakeClock is a hand-advanced telemetry.Clock. It is locked because a
+// router handler may still read it (to observe its proxy latency) after
+// the client has its response and the test advances the clock.
+type fakeClock struct {
+	mu  sync.Mutex
+	now float64
+}
 
-func (c *fakeClock) clock() float64     { return c.now }
-func (c *fakeClock) advance(dt float64) { c.now += dt }
+func (c *fakeClock) clock() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) advance(dt float64) {
+	c.mu.Lock()
+	c.now += dt
+	c.mu.Unlock()
+}
 
 func TestAdmitUnlimitedByDefault(t *testing.T) {
 	c := &fakeClock{}

@@ -7,7 +7,7 @@
 // by splicing: launches of unchanged tasks whose argument state matches
 // the base are copied verbatim; launches in the dirty region (changed
 // tasks plus everything their collections' coherence state reaches,
-// bounded by the overlap graph) are re-simulated against a coherence
+// bounded by the overlap graph) are re-recorded against a coherence
 // overlay. The spliced schedule folds to a Result byte-identical to a
 // full simulation (the CI differential gate and the property tests in
 // delta_test.go enforce this).
@@ -15,10 +15,10 @@
 // When the candidate is not a bounded delta — too many flipped decisions,
 // placement rows of unchanged tasks moved (capacity accounting is global,
 // so a spill elsewhere invalidates recorded durations), or the estimated
-// dirty frontier exceeds MaxDirtyFrac — RunKeyed falls back to the full
-// path. Classification is a pure function of (candidate, base), exposed
-// as Classify so the driver can count incremental/fallback evaluations
-// deterministically on its sequential commit path.
+// dirty frontier exceeds MaxDirtyFrac — RunKeyed falls back to a full
+// structure pass. Classification is a pure function of (candidate, base),
+// exposed as Classify so the driver can count incremental/fallback
+// evaluations deterministically on its sequential commit path.
 package sim
 
 import (
@@ -121,11 +121,6 @@ func (d *DeltaInstance) SetBase(mp *mapping.Mapping) {
 	d.pinSched(key)
 }
 
-// getBase returns the current base snapshot, or nil.
-func (d *DeltaInstance) getBase() *deltaBase {
-	return d.base.Load()
-}
-
 // ensure lazily plans and deep-records the base, memoizing the outcome
 // (including placement failure) on the snapshot. Concurrent callers of a
 // cold base block on the one recording run; a warmed base costs one
@@ -136,10 +131,8 @@ func (d *DeltaInstance) ensure(b *deltaBase) (*PlacementPlan, *schedule, error) 
 		if b.err == nil {
 			// Structure is config-independent: record once, fold under
 			// any (noise, trace) config.
-			_, sch := d.runRecorded(b.plan, Config{}, true)
-			sch.finalize()
-			b.sch = sch
-			d.storeSched(b.key, sch)
+			b.sch = d.record(b.plan, true)
+			d.storeSched(b.key, b.sch)
 		}
 	})
 	return b.plan, b.sch, b.err
@@ -154,13 +147,15 @@ func (d *DeltaInstance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
-	if sch := d.schedFor(key); sch != nil {
-		return d.fold(sch, plan, cfg), nil
+	sch := d.schedFor(key)
+	if sch == nil {
+		sch = d.tryPatch(key, mp, plan)
 	}
-	if sch := d.tryPatch(key, mp, plan); sch != nil {
-		return d.fold(sch, plan, cfg), nil
+	if sch == nil {
+		sch = d.record(plan, false)
+		d.storeSched(key, sch)
 	}
-	return d.Instance.RunKeyed(key, mp, cfg)
+	return d.fold(sch, plan, cfg), nil
 }
 
 // Classify reports whether an evaluation of (key, mp) would be served
@@ -169,7 +164,7 @@ func (d *DeltaInstance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*
 // the sequential commit path to attribute evaluations to the
 // sim.eval.incremental / sim.eval.fallback counters deterministically.
 func (d *DeltaInstance) Classify(key string, mp *mapping.Mapping) bool {
-	b := d.getBase()
+	b := d.base.Load()
 	if b == nil {
 		return false
 	}
@@ -182,10 +177,10 @@ func (d *DeltaInstance) Classify(key string, mp *mapping.Mapping) bool {
 }
 
 // tryPatch classifies (key, mp) against the current base and, when it is
-// a bounded delta, builds, finalizes, and caches its spliced schedule.
-// Returns nil when the candidate must take the full path.
+// a bounded delta, builds and caches its spliced schedule. Returns nil
+// when the candidate needs a full structure pass.
 func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
-	b := d.getBase()
+	b := d.base.Load()
 	if b == nil {
 		return nil
 	}
@@ -198,7 +193,6 @@ func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *Placemen
 		return nil
 	}
 	sch := d.patch(plan, baseSched, changed)
-	sch.finalize()
 	d.storeSched(key, sch)
 	return sch
 }
@@ -304,22 +298,18 @@ func planRowsEqual(a, b *PlacementPlan, tid int) bool {
 	return true
 }
 
-// patch builds the candidate's schedule by walking the base's launches in
-// order: clean launches (unchanged task, no unhealed dirty argument
-// alias) are copied verbatim; dirty launches are re-simulated against a
-// coherence overlay seeded from the base's recorded pre-states. The
-// overlay's timelines are garbage — only validity sets steer structure —
-// and the fold recomputes all times from the spliced records.
+// patch builds the candidate's finalized schedule by walking the base's
+// launches in order: clean launches (unchanged task, no unhealed dirty
+// argument alias) are copied verbatim; dirty launches are re-recorded by
+// the structure pass against a coherence overlay seeded from the base's
+// recorded pre-states. The fold computes all times from the spliced
+// records.
 func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []bool) *schedule {
-	s, _ := d.pool.Get().(*state)
-	if s == nil {
-		s = &state{}
-	}
-	s.init(plan, Config{})
-	rec := newRecorder(false)
-	rec.sch.ops = make([]copyOp, 0, len(base.ops)+16)
-	rec.sch.execs = make([]execRec, 0, len(base.execs)+16)
-	rec.sch.launches = make([]launchRec, 0, len(base.launches))
+	s := d.getState(plan, &schedule{
+		ops:      make([]copyOp, 0, len(base.ops)+16),
+		execs:    make([]execRec, 0, len(base.execs)+16),
+		launches: make([]launchRec, 0, len(base.launches)),
+	})
 
 	topo := d.topo
 	aliasDirty := make([]bool, len(d.g.Collections))
@@ -345,7 +335,7 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 			}
 		}
 		if !dirty {
-			rec.copyLaunch(base, li)
+			s.copyLaunch(base, li)
 			continue
 		}
 		// Seed the overlay from the base pre-state for aliases the
@@ -356,10 +346,8 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 				loadLaunchPre(s, base, li, ai, deps[ai])
 			}
 		}
-		s.rec = rec
 		s.runTask(tid)
-		s.rec = nil
-		rec.endLaunch()
+		s.endLaunch()
 		// Even read-only access mutates coherence state (a read makes a
 		// new location valid), so every argument alias is now
 		// candidate-divergent.
@@ -367,10 +355,7 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 			aliasDirty[deps[ai].alias] = true
 		}
 	}
-	s.result = nil
-	s.PlacementPlan = nil
-	d.pool.Put(s)
-	return rec.sch
+	return d.putState(s)
 }
 
 // launchPreMatches reports whether the overlay's coherence state for

@@ -10,10 +10,12 @@
 //     function of the mapping, so the repeats of one candidate (and any
 //     revisit of the same mapping) plan placement exactly once, and OOM
 //     verdicts are cached the same way;
-//   - simulation scratch (timelines, coherence state) is recycled through
-//     a sync.Pool instead of reallocated per run.
+//   - recorded schedules are cached by mapping key — the structure pass
+//     runs once per candidate and every repeat only folds (schedule.go);
+//   - structure-pass scratch (coherence state) and fold scratch are
+//     recycled through sync.Pools instead of reallocated per run.
 //
-// Run is safe for concurrent use; results are bit-identical to Simulate.
+// Run is safe for concurrent use. Simulate is New followed by one Run.
 //
 // Concurrency design (DESIGN §15): the worker pool evaluates independent
 // candidates, so the hot path is built to share nothing mutable between
@@ -114,11 +116,9 @@ type Instance struct {
 
 	pool sync.Pool // *state
 
-	// Recorded schedules by mapping key: a full run records its
-	// structure as a byproduct, and repeats of the same key replay it
-	// with the timing fold instead of re-simulating (bit-identical
-	// results, see schedule.go). schedPin names the delta base key,
-	// which survives shard resets.
+	// Recorded schedules by mapping key: the first run of a key records
+	// its structure, and every run folds it (schedule.go). schedPin names
+	// the delta base key, which survives shard resets.
 	scheds   [schedShardCount]schedShard
 	pinMu    sync.Mutex
 	schedPin string
@@ -128,16 +128,12 @@ type Instance struct {
 	// Noise tapes by (seed, sigma): the simulator's noise stream is a
 	// pure function of the config, not of the mapping, so folds replay a
 	// cached tape of draw values instead of re-deriving the log-normal
-	// transcendentals (two thirds of a fold's cost otherwise). The live
-	// path draws the same values from the same seeded RNG, so tapes
-	// change nothing observable. The map is read-mostly (a search uses a
-	// few dozen distinct seeds) and each fold scratch carries its own L1
-	// over it, so the RWMutex is a cold-path cost only.
+	// transcendentals (two thirds of a fold's cost otherwise). The map
+	// is read-mostly (a search uses a few dozen distinct seeds) and each
+	// fold scratch carries its own L1 over it, so the RWMutex is a
+	// cold-path cost only.
 	noiseMu sync.RWMutex
 	noise   map[noiseKey]*noiseTape
-
-	planHits   atomic.Int64
-	planMisses atomic.Int64
 }
 
 // noiseCacheLimit bounds the noise-tape cache; the driver derives seeds
@@ -228,10 +224,15 @@ func (in *Instance) noiseTape(k noiseKey) *noiseTape {
 	if len(in.noise) >= noiseCacheLimit {
 		in.noise = make(map[noiseKey]*noiseTape)
 	}
-	tp = &noiseTape{rng: *xrand.New(k.seed ^ 0x5bd1e995)}
-	tp.sigma = k.sigma
+	tp = newNoiseTape(k)
 	in.noise[k] = tp
 	return tp
+}
+
+// newNoiseTape returns an undrawn tape of k's noise stream: unit-mean
+// log-normal factors of sigma k.sigma from an RNG seeded by k.seed.
+func newNoiseTape(k noiseKey) *noiseTape {
+	return &noiseTape{sigma: k.sigma, rng: *xrand.New(k.seed ^ 0x5bd1e995)}
 }
 
 // New builds a reusable simulator instance for program g on machine m.
@@ -252,9 +253,9 @@ func New(m *machine.Machine, g *taskir.Graph) *Instance {
 }
 
 // Run executes g under mapping mp and returns the execution result, or an
-// *OOMError if the mapping does not fit — identical to Simulate, but with
-// topology, placement plan, and scratch reuse. Callers that already know
-// the mapping's key should use RunKeyed to skip recomputing it.
+// *OOMError if the mapping does not fit, reusing the Instance's topology,
+// placement plans, schedules, and scratch. Callers that already know the
+// mapping's key should use RunKeyed to skip recomputing it.
 func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 	return in.RunKeyed(mp.Key(), mp, cfg)
 }
@@ -268,34 +269,41 @@ func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	if sch := in.schedFor(key); sch != nil {
-		return in.fold(sch, plan, cfg), nil
+	sch := in.schedFor(key)
+	if sch == nil {
+		sch = in.record(plan, false)
+		in.storeSched(key, sch)
 	}
-	res, sch := in.runRecorded(plan, cfg, false)
-	sch.finalize()
-	in.storeSched(key, sch)
-	return res, nil
+	return in.fold(sch, plan, cfg), nil
 }
 
-// runRecorded executes a full simulation of plan with schedule recording
-// on and returns the run's result plus the recorded (un-finalized)
+// record runs the structure pass of plan and returns its finalized
 // schedule. deep additionally captures coherence pre-states (delta
 // bases).
-func (in *Instance) runRecorded(plan *PlacementPlan, cfg Config, deep bool) (*Result, *schedule) {
+func (in *Instance) record(plan *PlacementPlan, deep bool) *schedule {
+	s := in.getState(plan, &schedule{deep: deep})
+	s.run()
+	return in.putState(s)
+}
+
+// getState returns a pooled structure-pass state bound to plan, recording
+// into sch.
+func (in *Instance) getState(plan *PlacementPlan, sch *schedule) *state {
 	s, _ := in.pool.Get().(*state)
 	if s == nil {
 		s = &state{}
 	}
-	s.init(plan, cfg)
-	rec := newRecorder(deep)
-	s.rec = rec
-	s.run()
-	s.rec = nil
-	res := s.result
-	s.result = nil
-	s.PlacementPlan = nil
+	s.init(plan, sch)
+	return s
+}
+
+// putState returns s to the pool and its recorded schedule, finalized.
+func (in *Instance) putState(s *state) *schedule {
+	sch := s.sch
+	sch.finalize()
+	s.PlacementPlan, s.sch = nil, nil
 	in.pool.Put(s)
-	return res, rec.sch
+	return sch
 }
 
 // fold replays a recorded schedule under cfg with pooled scratch and the
@@ -368,14 +376,6 @@ func (in *Instance) PlanPlacement(mp *mapping.Mapping) (*PlacementPlan, error) {
 	return in.planFor(mp.Key(), mp)
 }
 
-// PlanCacheStats returns how many plan lookups hit and missed the cache.
-// These are physical probe counters: under speculative evaluation they
-// depend on scheduling (the driver exposes commit-path logical counters
-// that do not).
-func (in *Instance) PlanCacheStats() (hits, misses int64) {
-	return in.planHits.Load(), in.planMisses.Load()
-}
-
 // planFor returns the cached placement outcome for key, planning (and
 // caching) it on a miss.
 func (in *Instance) planFor(key string, mp *mapping.Mapping) (*PlacementPlan, error) {
@@ -384,10 +384,8 @@ func (in *Instance) planFor(key string, mp *mapping.Mapping) (*PlacementPlan, er
 	e, ok := sh.m[key]
 	sh.mu.RUnlock()
 	if ok {
-		in.planHits.Add(1)
 		return e.plan, e.err
 	}
-	in.planMisses.Add(1)
 	// Plan outside the lock: planning is pure, so a racing duplicate
 	// computes an identical entry and the second store is harmless.
 	plan, err := planPlacement(in.topo, mp)

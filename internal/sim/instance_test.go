@@ -79,6 +79,9 @@ func TestInstanceResultsDetached(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitMiss checks the plan cache by plan identity: the
+// repeats of one mapping (the 7-repeat protocol) reuse the plan built by
+// the first run, and a different mapping gets a plan of its own.
 func TestPlanCacheHitMiss(t *testing.T) {
 	m := cluster.Shepard(1)
 	g := simpleGraph(4, 1<<20)
@@ -89,19 +92,17 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if _, err := inst.Run(mp, Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := inst.PlanCacheStats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("after first run: hits=%d misses=%d, want 0/1", hits, misses)
+	first, err := inst.PlanPlacement(mp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Same mapping (the 7-repeat protocol): plan is reused.
 	for i := 0; i < 6; i++ {
 		if _, err := inst.Run(mp, Config{Seed: uint64(2 + i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	hits, misses = inst.PlanCacheStats()
-	if hits != 6 || misses != 1 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 6/1", hits, misses)
+		if p, _ := inst.PlanPlacement(mp); p != first {
+			t.Fatalf("repeat %d: plan rebuilt for a cached mapping", i)
+		}
 	}
 	// A different mapping misses.
 	mp2 := mapping.Default(g, md)
@@ -109,8 +110,14 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if _, err := inst.Run(mp2, Config{Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = inst.PlanCacheStats()
-	if hits != 6 || misses != 2 {
-		t.Fatalf("after new mapping: hits=%d misses=%d, want 6/2", hits, misses)
+	second, err := inst.PlanPlacement(mp2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first {
+		t.Fatal("a different mapping was served the first mapping's plan")
+	}
+	if p, _ := inst.PlanPlacement(mp2); p != second {
+		t.Fatal("plan rebuilt for the second cached mapping")
 	}
 }

@@ -3,17 +3,17 @@
 // Placing a mapping's collection instances into concrete memories is a
 // deterministic function of (machine, program, mapping) alone — it does not
 // depend on timing, noise, or execution order beyond the launch sequence.
-// Factoring it out of the timing pass gives a static feasibility oracle:
+// Factoring it out of the structure pass gives a static feasibility oracle:
 // PlanPlacement either produces the exact placement the simulator will use
 // or fails with the exact *OOMError the simulator would have raised, without
-// paying for the discrete-event timing pass. Package analyze consumes this
+// paying for the structure pass and fold. Package analyze consumes this
 // as its memory-feasibility check, so the static analyzer can never drift
 // from the simulator's out-of-memory accounting.
 //
 // Because the plan is a pure function of the mapping, it is also cacheable:
 // sim.Instance keys plans by mapping.Key so the repeated measurements of one
 // candidate plan placement exactly once (see instance.go). A committed plan
-// is immutable and may be shared by concurrent timing passes.
+// is immutable and may be shared by concurrent structure passes.
 
 package sim
 
@@ -34,7 +34,7 @@ type argPlacement struct {
 // every task under a mapping: which memory kind each instance landed in,
 // over how many socket-/device-local units, and the resulting bytes per
 // concrete memory. It is produced by PlanPlacement and consumed by the
-// simulator's timing pass and by the static analyzer. After place() commits
+// simulator's structure pass and by the static analyzer. After place() commits
 // it is read-only and safe to share across concurrent simulations.
 type PlacementPlan struct {
 	m    *machine.Machine
@@ -50,7 +50,7 @@ type PlacementPlan struct {
 	placed    [][][]bool
 
 	// taskNodes[taskID] is the node set the task runs on under its
-	// decision, precomputed so the timing pass never re-derives it.
+	// decision, precomputed so the structure pass never re-derives it.
 	taskNodes [][]int
 
 	// residentKindBytes[colID][node][kind] tracks bytes already charged

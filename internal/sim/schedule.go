@@ -1,22 +1,23 @@
-// Recorded schedules: the structure/timing split behind incremental
-// re-simulation (DESIGN §14).
+// Recorded schedules and the timing fold: the simulator's one timing
+// engine (DESIGN §14).
 //
 // A simulation factors into two passes:
 //
-//   - a STRUCTURE pass that decides which copy operations and task
-//     executions occur, with what durations — a pure function of the
-//     placement plan and the coherence (validity-set) state, never of
-//     the simulated clock; and
-//   - a TIMING fold that replays those records in order, carrying only
-//     the availability timelines (processors, copy engines, network) and
-//     the per-collection ready times, reproducing every float operation
-//     of the live path in the same order.
+//   - a STRUCTURE pass (state.run in sim.go) that decides which copy
+//     operations and task executions occur, with what pre-noise durations
+//     — a pure function of the placement plan and the coherence
+//     (validity-set) state. It never reads or advances a clock and draws
+//     no noise; it only records a schedule; and
+//   - a TIMING fold (foldSchedule) that replays those records in order,
+//     carrying the availability timelines (processors, copy engines,
+//     network) and the per-collection ready times, applying the noise
+//     draws, and emitting the Trace/Explain logs. It is the only code in
+//     the package that advances simulated time.
 //
-// The live run/runTask path is instrumented (state.rec, nil when off) to
-// emit a schedule as a byproduct; foldSchedule then re-derives the exact
-// same Result from the records. Incremental re-simulation (delta.go)
-// splices recorded launch ranges of a base schedule with freshly
-// simulated dirty launches and folds the spliced schedule.
+// Every entry point records (or reuses a cached schedule) and then folds:
+// Simulate, Instance.RunKeyed, and the incremental path (delta.go), which
+// splices recorded launch ranges of a base schedule with freshly recorded
+// dirty launches and folds the spliced schedule.
 package sim
 
 import (
@@ -24,12 +25,13 @@ import (
 	"automap/internal/taskir"
 )
 
-// copyOp is one recorded copy operation. Durations are stored in the two
-// components the live path adds separately (durA = latency term, durB =
-// bandwidth term) so the fold's start + durA + durB reproduces the live
-// float expression bit for bit. chainFirst marks the first op of an
-// ensure* call: ops within a chain gate on each other, chains within a
-// launch all start from the launch's ready time.
+// copyOp is one recorded copy operation. A network copy's duration is
+// stored as its two terms (durA = latency, durB = bandwidth term) because
+// the fold adds them to the start time one at a time, (start + durA) +
+// durB, and the pinned results depend on that association; intra-node
+// copies store their whole duration in durA. chainFirst marks the first op
+// of an ensure* call: ops within a chain gate on each other, chains within
+// a launch all start from the launch's ready time.
 type copyOp struct {
 	durA, durB float64
 	bytes      int64
@@ -42,14 +44,13 @@ type copyOp struct {
 }
 
 // execRec is one recorded task execution on one node. durBase is the
-// pre-noise duration; the fold applies the noise draw (same RNG, same
-// draw order as the live path). Ops [opOff, opEnd) are the coherence
-// copies that precede this execution.
+// pre-noise duration; the fold applies the noise draw. The ops recorded
+// between the previous exec's opEnd (or the launch start) and opEnd are
+// the coherence copies that precede this execution.
 type execRec struct {
 	durBase float64
 	activeF float64 // float64(active) at record time
 	powerW  float64
-	opOff   int32
 	opEnd   int32
 	node    int32
 	kind    machine.ProcKind
@@ -68,7 +69,7 @@ type launchRec struct {
 // marker), shardValid (nodes entries) for partitioned ones — exactly as
 // it stood when the launch began. The delta patcher compares these
 // against its overlay state to detect healed aliases, and loads them to
-// re-seed the overlay before re-simulating a dirty launch.
+// re-seed the overlay before re-recording a dirty launch.
 type argPre struct {
 	locOff  int32
 	locLen  int32
@@ -128,90 +129,68 @@ func (sch *schedule) finalize() {
 	sch.numCopies = len(sch.ops)
 }
 
-// recorder captures a schedule as a byproduct of a live simulation (or of
-// the delta patcher's dirty-launch re-simulation). It is attached to a
-// state via state.rec; the hooks in sim.go feed it.
-type recorder struct {
-	sch *schedule
-
-	// newChain marks that the next recorded op begins a new ensure*
-	// chain (set by state.recChain at each ensure call site).
-	newChain bool
-	// opCursor is the op count consumed by previous exec records; the
-	// ops since it belong to the next exec.
-	opCursor int
-}
-
-// newRecorder returns a recorder with an empty schedule; deep enables
-// per-launch-argument pre-state capture (delta bases).
-func newRecorder(deep bool) *recorder {
-	return &recorder{sch: &schedule{deep: deep}}
-}
-
 // op records one copy operation, consuming a pending chain marker.
-func (r *recorder) op(durA, durB float64, bytes int64, srcNode, dstNode int, srcKind, dstKind machine.MemKind, network bool) {
-	r.sch.ops = append(r.sch.ops, copyOp{
+func (s *state) op(durA, durB float64, bytes int64, srcNode, dstNode int, srcKind, dstKind machine.MemKind, network bool) {
+	s.sch.ops = append(s.sch.ops, copyOp{
 		durA: durA, durB: durB, bytes: bytes,
 		srcNode: int32(srcNode), dstNode: int32(dstNode),
 		srcKind: srcKind, dstKind: dstKind,
-		network: network, chainFirst: r.newChain,
+		network: network, chainFirst: s.newChain,
 	})
-	r.newChain = false
+	s.newChain = false
 }
 
 // exec records one task execution; the ops recorded since the previous
 // exec are its coherence-copy range.
-func (r *recorder) exec(durBase, activeF, powerW float64, node int, kind machine.ProcKind) {
-	r.sch.execs = append(r.sch.execs, execRec{
+func (s *state) exec(durBase, activeF, powerW float64, node int, kind machine.ProcKind) {
+	s.sch.execs = append(s.sch.execs, execRec{
 		durBase: durBase, activeF: activeF, powerW: powerW,
-		opOff: int32(r.opCursor), opEnd: int32(len(r.sch.ops)),
-		node: int32(node), kind: kind,
+		opEnd: int32(len(s.sch.ops)),
+		node:  int32(node), kind: kind,
 	})
-	r.opCursor = len(r.sch.ops)
 }
 
 // beginLaunch snapshots (deep mode only) the coherence pre-state of every
 // argument of the launch about to run.
-func (r *recorder) beginLaunch(s *state, tid taskir.TaskID) {
-	if !r.sch.deep {
+func (s *state) beginLaunch(tid taskir.TaskID) {
+	sch := s.sch
+	if !sch.deep {
 		return
 	}
-	r.sch.preOff = append(r.sch.preOff, int32(len(r.sch.pres)))
+	sch.preOff = append(sch.preOff, int32(len(sch.pres)))
 	for _, dp := range s.topo.argDeps[tid] {
-		p := argPre{locOff: int32(len(r.sch.preLocs)), shard: dp.part}
+		p := argPre{locOff: int32(len(sch.preLocs)), shard: dp.part}
 		if dp.part {
-			r.sch.preLocs = append(r.sch.preLocs, s.shardValid[dp.alias]...)
+			sch.preLocs = append(sch.preLocs, s.shardValid[dp.alias]...)
 		} else {
-			r.sch.preLocs = append(r.sch.preLocs, s.sharedValid[dp.alias]...)
+			sch.preLocs = append(sch.preLocs, s.sharedValid[dp.alias]...)
 			p.partial = s.partial[dp.alias]
 		}
-		p.locLen = int32(len(r.sch.preLocs)) - p.locOff
-		r.sch.pres = append(r.sch.pres, p)
+		p.locLen = int32(len(sch.preLocs)) - p.locOff
+		sch.pres = append(sch.pres, p)
 	}
 }
 
 // endLaunch closes the current launch's record ranges.
-func (r *recorder) endLaunch() {
-	r.sch.launches = append(r.sch.launches, launchRec{
-		opEnd:   int32(len(r.sch.ops)),
-		execEnd: int32(len(r.sch.execs)),
+func (s *state) endLaunch() {
+	s.sch.launches = append(s.sch.launches, launchRec{
+		opEnd:   int32(len(s.sch.ops)),
+		execEnd: int32(len(s.sch.execs)),
 	})
-	r.opCursor = len(r.sch.ops)
-	r.newChain = false
+	s.newChain = false
 }
 
-// copyLaunch splices launch li of base verbatim into the output schedule,
-// rebasing exec op ranges onto the output's op stream (clean launches of
+// copyLaunch splices launch li of base verbatim into the recorded
+// schedule, rebasing exec op ranges onto its op stream (clean launches of
 // the delta patcher).
-func (r *recorder) copyLaunch(base *schedule, li int) {
-	out := r.sch
+func (s *state) copyLaunch(base *schedule, li int) {
+	out := s.sch
 	opLo, opHi := base.launchOpRange(li)
 	exLo, exHi := base.launchExecRange(li)
 	shift := int32(len(out.ops) - opLo)
 	out.ops = append(out.ops, base.ops[opLo:opHi]...)
 	for i := exLo; i < exHi; i++ {
 		x := base.execs[i]
-		x.opOff += shift
 		x.opEnd += shift
 		out.execs = append(out.execs, x)
 	}
@@ -219,8 +198,17 @@ func (r *recorder) copyLaunch(base *schedule, li int) {
 		opEnd:   int32(len(out.ops)),
 		execEnd: int32(len(out.execs)),
 	})
-	r.opCursor = len(out.ops)
-	r.newChain = false
+	s.newChain = false
+}
+
+// fmax is max over the fold's times. All operands are finite and
+// non-negative, so it is equivalent to math.Max — but unlike math.Max it
+// inlines, and it sits on the fold's innermost loops.
+func fmax(a, b float64) float64 {
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // foldScratch is the pooled working set of foldSchedule: the availability
@@ -255,11 +243,12 @@ func resetZero(s []float64, n int) []float64 {
 	return s
 }
 
-// foldSchedule replays a recorded schedule and produces the Result a live
-// simulation of the same structure would: every float operation of the
-// live path is reproduced in the same order (max/add replay, noise draws
-// in exec order from the same seeded RNG), so the result is bit-identical
-// to state.run on the run that recorded sch.
+// foldSchedule replays a recorded schedule under cfg and produces the
+// simulation's Result: it advances the processor, copy-engine, and network
+// timelines and the per-collection ready times, multiplies each exec's
+// pre-noise duration by its draw (noise[i] for the i-th exec, nil when
+// noiseless), and appends the Trace/Explain logs. It is the simulator's
+// only clock; the structure pass that recorded sch never sees a time.
 func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config, noise []float64, fs *foldScratch) *Result {
 	g := topo.g
 	nc := len(g.Collections)
@@ -280,8 +269,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 		ProcBusySec:  make(map[machine.ProcKind]float64),
 		Spills:       plan.Spills,
 	}
-	// Preallocate the logs only when non-empty so empty logs stay nil,
-	// exactly like the live path's never-appended slices.
+	// Preallocate the logs only when non-empty, so an empty log stays nil.
 	if cfg.Trace && len(sch.execs) > 0 {
 		res.Events = make([]Event, 0, len(sch.execs))
 	}
@@ -340,9 +328,7 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			dur := x.durBase
 			if noise != nil {
 				// noise[exIdx] is the exIdx-th draw of the config's
-				// stream — exactly what the live path's RNG produces
-				// for this execution (draws happen once per exec, in
-				// exec order).
+				// stream: one draw per exec, in exec order.
 				dur *= noise[exIdx]
 			}
 			pa := &fs.procAvail[int(x.node)*machine.NumProcKinds+int(x.kind)]
@@ -387,10 +373,9 @@ func foldSchedule(topo *topology, plan *PlacementPlan, sch *schedule, cfg Config
 			makespan = taskFinish
 		}
 	}
-	// The live path creates a TaskWallSec entry for every launch it
-	// commits (even all-zero ones); every task in the launch order
-	// launches once per iteration, so the entry set is exactly the
-	// launch-order task set.
+	// TaskWallSec has an entry for every launched task (even an all-zero
+	// one); every task in the launch order launches once per iteration,
+	// so the entry set is exactly the launch-order task set.
 	for _, tid := range topo.launch {
 		res.TaskWallSec[tid] = fs.taskWall[tid]
 	}

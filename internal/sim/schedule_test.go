@@ -102,7 +102,6 @@ func requireSameResult(t *testing.T, ctx string, got, want *Result) {
 	}
 }
 
-
 // goldenConfigs are the simulation configs pinned in
 // testdata/results.golden.
 var goldenConfigs = []struct {

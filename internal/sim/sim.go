@@ -31,9 +31,16 @@
 // task durations, which is what makes the paper's repeated-measurement
 // protocol (7 runs per candidate, 31 for final reporting) meaningful.
 //
-// Entry points: Simulate is the one-shot API; Instance (instance.go) is the
-// search-facing API that amortizes topology tables, placement plans, and
-// simulation scratch across the thousands of runs of one search.
+// One timing engine: a run is a timing-free structure pass (state.run
+// below), which records the copies and executions a mapping causes, and
+// the schedule fold (foldSchedule in schedule.go), which is the only code
+// that advances simulated time or applies noise.
+//
+// Entry points: Instance (instance.go) is the search-facing API that
+// amortizes topology tables, placement plans, recorded schedules, and
+// scratch across the thousands of runs of one search; Simulate is the
+// one-shot API, New followed by one Run; DeltaInstance (delta.go) serves
+// small mapping changes by patching a base schedule.
 package sim
 
 import (
@@ -43,7 +50,6 @@ import (
 	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/taskir"
-	"automap/internal/xrand"
 )
 
 // Config controls a simulation run.
@@ -55,12 +61,14 @@ type Config struct {
 	Seed uint64
 	// Trace records a per-launch execution event log in Result.Events
 	// (one event per task × node × iteration), for timeline rendering
-	// and debugging. Off by default: event logs are large.
+	// and debugging. The schedule fold emits it as it replays each
+	// execution. Off by default: event logs are large.
 	Trace bool
 	// Explain additionally records every copy operation in Result.Copies
 	// so a post-run critical-path analysis (internal/explain) can
-	// attribute the makespan to tasks, copies, and channels. Off by
-	// default: copy logs are large.
+	// attribute the makespan to tasks, copies, and channels. The schedule
+	// fold emits it as it replays each copy. Off by default: copy logs
+	// are large.
 	Explain bool
 }
 
@@ -149,18 +157,11 @@ func (e *OOMError) Error() string {
 // execution result, or an *OOMError if the mapping does not fit. The
 // mapping must already be valid for (g, m.Model()).
 //
-// Simulate rebuilds the topology tables and placement plan on every call;
-// callers running many mappings on one (machine, program) pair should use
-// New + Instance.Run, which produces identical results.
+// Simulate is New(m, g).Run(mp, cfg): it rebuilds the topology tables and
+// placement plan on every call, so callers running many mappings on one
+// (machine, program) pair should keep the Instance.
 func Simulate(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, cfg Config) (*Result, error) {
-	plan, err := PlanPlacement(m, g, mp)
-	if err != nil {
-		return nil, err
-	}
-	var s state
-	s.init(plan, cfg)
-	s.run()
-	return s.result, nil
+	return New(m, g).Run(mp, cfg)
 }
 
 // sharedLoc is one valid location of a shared collection.
@@ -177,15 +178,16 @@ type partialInfo struct {
 	src    int     // a writer node other readers can gather from
 }
 
-// state carries all mutable simulation state. It embeds the committed
-// placement plan (see place.go), which provides the machine/program/mapping
-// triple and the per-argument instance placements. A state is reusable:
-// init rebinds it to a new plan and config, recycling all scratch storage
-// (Instance keeps a pool of them).
+// state carries the mutable state of the structure pass: the coherence
+// (validity-set) state that decides which copies each launch needs, and
+// the schedule being recorded. It embeds the committed placement plan (see
+// place.go), which provides the machine/program/mapping triple and the
+// per-argument instance placements. The pass never reads or advances a
+// clock; foldSchedule (schedule.go) owns all time and noise. A state is
+// reusable: init rebinds it to a new plan and schedule, recycling all
+// scratch storage (Instance keeps a pool of them).
 type state struct {
 	*PlacementPlan
-	cfg Config
-	rng xrand.RNG
 
 	// Validity state for coherence. sharedValid holds, per shared
 	// collection, the set of currently valid locations as a small slice
@@ -200,60 +202,29 @@ type state struct {
 	// halo exchange of the real applications).
 	partial []partialInfo
 
-	// Timelines (absolute seconds).
-	procAvail  [][]float64 // [node][procKind]
-	copyAvail  []float64   // per-node copy engine
-	netAvail   float64     // network serialization point
-	writeDone  []float64   // per collection: finish of last writer
-	accessDone []float64   // per collection: finish of last accessor
-
-	taskFinish []float64
-	iteration  int
-
-	// rec, when non-nil, records the run's schedule (schedule.go) as a
-	// byproduct; it never changes any computed value.
-	rec *recorder
+	// sch is the schedule being recorded. newChain marks that the next
+	// recorded op begins a new ensure* chain.
+	sch      *schedule
+	newChain bool
 
 	// writerScratch[a] is the per-launch writer-location scratch, sized
 	// to the widest task so runTask never allocates it.
 	writerScratch [][]sharedLoc
-
-	result *Result
 }
 
-// init binds s to a plan and config, allocating scratch on first use and
-// recycling it afterwards. A pooled state may be rebound to a different
-// plan of the same (machine, program) pair: every dimension below is a
-// function of (machine, program) only.
-func (s *state) init(plan *PlacementPlan, cfg Config) {
-	g := plan.g
-	nc := len(g.Collections)
+// init binds s to a plan and the schedule to record into, allocating
+// scratch on first use and recycling it afterwards. A pooled state may be
+// rebound to a different plan of the same (machine, program) pair: every
+// dimension below is a function of (machine, program) only.
+func (s *state) init(plan *PlacementPlan, sch *schedule) {
+	nc := len(plan.g.Collections)
 	s.PlacementPlan = plan
-	s.cfg = cfg
-	s.rng = *xrand.New(cfg.Seed ^ 0x5bd1e995)
-	s.netAvail = 0
-	s.iteration = 0
-	s.rec = nil
-	s.result = &Result{
-		TaskWallSec:  make(map[taskir.TaskID]float64, len(g.Tasks)),
-		PeakMemBytes: plan.PeakMemBytes(),
-		ProcBusySec:  make(map[machine.ProcKind]float64),
-		Spills:       plan.Spills,
-	}
-
+	s.sch = sch
+	s.newChain = false
 	if s.sharedValid == nil {
 		s.sharedValid = make([][]sharedLoc, nc)
 		s.shardValid = make([][]sharedLoc, nc)
 		s.partial = make([]partialInfo, nc)
-		s.procAvail = make([][]float64, plan.nodes)
-		procBack := make([]float64, plan.nodes*machine.NumProcKinds)
-		for n := range s.procAvail {
-			s.procAvail[n] = procBack[n*machine.NumProcKinds : (n+1)*machine.NumProcKinds]
-		}
-		s.copyAvail = make([]float64, plan.nodes)
-		s.writeDone = make([]float64, nc)
-		s.accessDone = make([]float64, nc)
-		s.taskFinish = make([]float64, len(g.Tasks))
 		s.writerScratch = make([][]sharedLoc, plan.topo.maxArgs)
 	} else {
 		for c := 0; c < nc; c++ {
@@ -261,23 +232,6 @@ func (s *state) init(plan *PlacementPlan, cfg Config) {
 		}
 		for i := range s.partial {
 			s.partial[i] = partialInfo{}
-		}
-		for n := range s.procAvail {
-			for k := range s.procAvail[n] {
-				s.procAvail[n][k] = 0
-			}
-		}
-		for i := range s.copyAvail {
-			s.copyAvail[i] = 0
-		}
-		for i := range s.writeDone {
-			s.writeDone[i] = 0
-		}
-		for i := range s.accessDone {
-			s.accessDone[i] = 0
-		}
-		for i := range s.taskFinish {
-			s.taskFinish[i] = 0
 		}
 	}
 	for c := 0; c < nc; c++ {
@@ -292,98 +246,34 @@ func (s *state) init(plan *PlacementPlan, cfg Config) {
 	}
 }
 
-// fmax is max over the simulator's times. All operands are finite and
-// non-negative, so it is equivalent to math.Max — but unlike math.Max it
-// inlines, and it sits on the innermost scheduling loops. The live path
-// and the timing fold (schedule.go) both use it, so the two replays share
-// identical float semantics.
-func fmax(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// chanBW returns the copy bandwidth and latency between memory kinds a and
-// b on node n from the topology's precomputed channel table.
-func (s *state) chanBW(a, b machine.MemKind, n int) (float64, float64) {
+// intraCopy records a copy of `bytes` between kinds on node n.
+func (s *state) intraCopy(a, b machine.MemKind, n int, bytes int64) {
 	c := s.topo.chans[n][a][b]
-	return c.bw, c.lat
-}
-
-// intraCopy schedules a copy of `bytes` between kinds on node n, starting
-// no earlier than `after`, and returns the completion time.
-func (s *state) intraCopy(a, b machine.MemKind, n int, bytes int64, after float64) float64 {
-	bw, lat := s.chanBW(a, b, n)
 	var dur float64
-	if bw <= 0 {
+	if c.bw <= 0 {
 		// Should not happen on validated machines; charge a network-like cost.
 		dur = float64(bytes) / 1e9
-	} else if math.IsInf(bw, 1) {
+	} else if math.IsInf(c.bw, 1) {
 		dur = 0
 	} else {
-		dur = lat + float64(bytes)/bw
+		dur = c.lat + float64(bytes)/c.bw
 	}
-	start := fmax(after, s.copyAvail[n])
-	done := start + dur
-	s.copyAvail[n] = done
-	if s.rec != nil {
-		s.rec.op(dur, 0, bytes, n, n, a, b, false)
-	}
-	s.result.BytesCopied += bytes
-	s.result.NumCopies++
-	if s.cfg.Explain {
-		s.result.Copies = append(s.result.Copies, CopyEvent{
-			SrcNode: n, DstNode: n, SrcKind: a, DstKind: b,
-			Bytes: bytes, StartSec: start, DoneSec: done,
-		})
-	}
-	return done
+	s.op(dur, 0, bytes, n, n, a, b, false)
 }
 
-// netCopy schedules a cross-node copy of `bytes` from (srcNode, srcKind) to
-// (dstNode, dstKind), staging through System memory on both ends, and
-// returns the completion time.
-func (s *state) netCopy(srcNode int, srcKind machine.MemKind, dstNode int, dstKind machine.MemKind, bytes int64, after float64) float64 {
-	t := after
+// netCopy records a cross-node copy of `bytes` from (srcNode, srcKind) to
+// (dstNode, dstKind), staging through System memory on both ends.
+func (s *state) netCopy(srcNode int, srcKind machine.MemKind, dstNode int, dstKind machine.MemKind, bytes int64) {
 	if srcKind != machine.SysMem {
-		t = s.intraCopy(srcKind, machine.SysMem, srcNode, bytes, t)
+		s.intraCopy(srcKind, machine.SysMem, srcNode, bytes)
 	}
 	bw := s.m.NetworkBandwidthBps
 	if bw <= 0 {
 		bw = 1e9
 	}
-	durA := s.m.NetworkLatencySec
-	durB := float64(bytes) / bw
-	start := fmax(t, s.netAvail)
-	done := start + durA + durB
-	s.netAvail = done
-	if s.rec != nil {
-		s.rec.op(durA, durB, bytes, srcNode, dstNode, machine.SysMem, machine.SysMem, true)
-	}
-	s.result.BytesCopied += bytes
-	s.result.BytesOnNetwork += bytes
-	s.result.NumCopies++
-	if s.cfg.Explain {
-		s.result.Copies = append(s.result.Copies, CopyEvent{
-			SrcNode: srcNode, DstNode: dstNode,
-			SrcKind: machine.SysMem, DstKind: machine.SysMem, Network: true,
-			Bytes: bytes, StartSec: start, DoneSec: done,
-		})
-	}
-	t = done
+	s.op(s.m.NetworkLatencySec, float64(bytes)/bw, bytes, srcNode, dstNode, machine.SysMem, machine.SysMem, true)
 	if dstKind != machine.SysMem {
-		t = s.intraCopy(machine.SysMem, dstKind, dstNode, bytes, t)
-	}
-	return t
-}
-
-// recChain marks the next recorded copy op as the first of an ensure*
-// chain: chains gate internally on each other's completion but all start
-// from the launch's ready time.
-func (s *state) recChain() {
-	if s.rec != nil {
-		s.rec.newChain = true
+		s.intraCopy(machine.SysMem, dstKind, dstNode, bytes)
 	}
 }
 
@@ -397,13 +287,13 @@ func containsLoc(locs []sharedLoc, want sharedLoc) bool {
 	return false
 }
 
-// ensureShared makes collection c valid at (node, kind) and returns the
-// completion time of any copies needed (>= after).
-func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKind, units int, after float64) float64 {
+// ensureShared makes collection c valid at (node, kind), recording the
+// copies needed as one chain.
+func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKind, units int) {
+	s.newChain = true
 	al := s.topo.alias[c.ID]
 	valid := s.sharedValid[al]
 	want := sharedLoc{node: node, kind: kind}
-	done := after
 	if !containsLoc(valid, want) {
 		if pi := s.partial[al]; pi.active {
 			// Gather the parts written by the other nodes (ghost
@@ -413,7 +303,7 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 			if src == node {
 				src = (node + 1) % s.nodes
 			}
-			done = s.netCopy(src, kind, node, kind, bytes, after)
+			s.netCopy(src, kind, node, kind, bytes)
 		} else if len(valid) > 0 {
 			// Prefer an intra-node source; break remaining ties by
 			// (node, kind) so the choice is deterministic (the same
@@ -435,9 +325,9 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 				}
 			}
 			if src.node == node {
-				done = s.intraCopy(src.kind, kind, node, c.SizeBytes(), after)
+				s.intraCopy(src.kind, kind, node, c.SizeBytes())
 			} else {
-				done = s.netCopy(src.node, src.kind, node, kind, c.SizeBytes(), after)
+				s.netCopy(src.node, src.kind, node, kind, c.SizeBytes())
 			}
 		}
 		// else: first touch — the collection is materialized in place.
@@ -445,90 +335,51 @@ func (s *state) ensureShared(c *taskir.Collection, node int, kind machine.MemKin
 	}
 	// Mirror copies for the extra sockets/devices spanned.
 	for u := 1; u < units; u++ {
-		done = s.intraCopy(kind, kind, node, c.SizeBytes(), done)
+		s.intraCopy(kind, kind, node, c.SizeBytes())
 	}
-	return done
 }
 
 // ensureShard makes shard `shard` of partitioned collection c valid at
-// (node, kind) and returns the copy completion time.
-func (s *state) ensureShard(c *taskir.Collection, shard, node int, kind machine.MemKind, bytes int64, after float64) float64 {
+// (node, kind), recording the copies needed as one chain.
+func (s *state) ensureShard(c *taskir.Collection, shard, node int, kind machine.MemKind, bytes int64) {
+	s.newChain = true
 	al := s.topo.alias[c.ID]
 	cur := s.shardValid[al][shard]
 	want := sharedLoc{node: node, kind: kind}
-	if cur.node < 0 {
-		s.shardValid[al][shard] = want
-		return after
-	}
-	if cur == want {
-		return after
-	}
-	var done float64
-	if cur.node == node {
-		done = s.intraCopy(cur.kind, kind, node, bytes, after)
-	} else {
-		done = s.netCopy(cur.node, cur.kind, node, kind, bytes, after)
+	switch {
+	case cur == want:
+		return
+	case cur.node < 0:
+		// First touch: materialized in place.
+	case cur.node == node:
+		s.intraCopy(cur.kind, kind, node, bytes)
+	default:
+		s.netCopy(cur.node, cur.kind, node, kind, bytes)
 	}
 	s.shardValid[al][shard] = want
-	return done
 }
 
-// invalidateSharedExcept resets the valid set of shared collection c to the
-// writer's locations.
-func (s *state) invalidateSharedExcept(c taskir.CollectionID, locs []sharedLoc) {
-	s.sharedValid[c] = append(s.sharedValid[c][:0], locs...)
-}
-
-// run executes the timing pass over all iterations.
+// run executes the structure pass over all iterations.
 func (s *state) run() {
-	order := s.topo.launch
-	var makespan float64
 	for iter := 0; iter < s.g.Iterations; iter++ {
-		s.iteration = iter
-		for _, tid := range order {
-			if s.rec != nil {
-				s.rec.beginLaunch(s, tid)
-			}
-			finish := s.runTask(tid)
-			if s.rec != nil {
-				s.rec.endLaunch()
-			}
-			if finish > makespan {
-				makespan = finish
-			}
+		for _, tid := range s.topo.launch {
+			s.beginLaunch(tid)
+			s.runTask(tid)
+			s.endLaunch()
 		}
 	}
-	// The runtime's serial per-iteration overhead (dependence analysis,
-	// scheduling) is mapping-independent and additive.
-	makespan += float64(s.g.Iterations) * s.g.SerialOverheadSec
-	s.result.MakespanSec = makespan
-	s.result.EnergyJoules += float64(s.result.BytesCopied) * s.m.CopyEnergyPerByte
 }
 
-// runTask executes one launch of group task tid and returns its finish time.
-func (s *state) runTask(tid taskir.TaskID) float64 {
+// runTask records one launch of group task tid: the coherence copies and
+// the per-node executions it needs, then its write effects on the
+// validity sets.
+func (s *state) runTask(tid taskir.TaskID) {
 	t := s.g.Task(tid)
 	d := s.mp.Decision(tid)
-
-	// Readiness from data flow (true and anti dependences), including
-	// wrap-around dependences across iterations.
-	ready := 0.0
-	for _, arg := range t.Args {
-		al := s.topo.alias[arg.Collection]
-		if arg.Privilege.Reads() && s.writeDone[al] > ready {
-			ready = s.writeDone[al]
-		}
-		if arg.Privilege.Writes() && s.accessDone[al] > ready {
-			ready = s.accessDone[al]
-		}
-	}
-
 	nodes := s.taskNodes[tid]
 	proc := s.procFor(d.Proc)
 	variant := t.Variants[d.Proc]
 
-	taskFinish := ready
-	var execWall float64
 	// writerLocs[a] collects, per written argument, the locations the
 	// write lands in; they become the sole valid locations afterwards.
 	writerLocs := s.writerScratch[:len(t.Args)]
@@ -542,7 +393,6 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 			continue
 		}
 		// Coherence copies for this node's arguments.
-		copyDone := ready
 		for a, arg := range t.Args {
 			if !s.placed[tid][a][n] {
 				continue
@@ -550,22 +400,15 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 			pl := s.placement[tid][a][n]
 			c := s.g.Collection(arg.Collection)
 			if arg.Privilege.Reads() {
-				if c.Partitioned {
-					sb := ShardBytes(c, pts, t.Points)
-					if d.Distribute {
-						s.recChain()
-						copyDone = fmax(copyDone, s.ensureShard(c, n, n, pl.kind, sb, ready))
-					} else {
-						// Leader gathers every shard.
-						for sh := 0; sh < s.nodes; sh++ {
-							shb := c.SizeBytes() / int64(s.nodes)
-							s.recChain()
-							copyDone = fmax(copyDone, s.ensureShard(c, sh, 0, pl.kind, shb, ready))
-						}
-					}
+				if !c.Partitioned {
+					s.ensureShared(c, n, pl.kind, pl.units)
+				} else if d.Distribute {
+					s.ensureShard(c, n, n, pl.kind, ShardBytes(c, pts, t.Points))
 				} else {
-					s.recChain()
-					copyDone = fmax(copyDone, s.ensureShared(c, n, pl.kind, pl.units, ready))
+					// Leader gathers every shard.
+					for sh := 0; sh < s.nodes; sh++ {
+						s.ensureShard(c, sh, 0, pl.kind, c.SizeBytes()/int64(s.nodes))
+					}
 				}
 			}
 			if arg.Privilege.Writes() {
@@ -624,82 +467,44 @@ func (s *state) runTask(tid taskir.TaskID) float64 {
 				perPoint += traffic * float64(arg.BytesPerPoint) / bw
 			}
 		}
-		dur := float64(waves) * perPoint
-		if s.rec != nil {
-			s.rec.exec(dur, float64(active), proc.PowerW, n, d.Proc)
-		}
-		if s.cfg.NoiseSigma > 0 {
-			dur *= s.rng.UnitMeanLogNormal(s.cfg.NoiseSigma)
-		}
-		start := fmax(copyDone, s.procAvail[n][d.Proc])
-		fin := start + dur
-		s.procAvail[n][d.Proc] = fin
-		// Energy: `active` processors of this kind are busy for dur.
-		s.result.ProcBusySec[d.Proc] += float64(active) * dur
-		s.result.EnergyJoules += float64(active) * dur * proc.PowerW
-		if s.cfg.Trace {
-			s.result.Events = append(s.result.Events, Event{
-				Task: tid, Node: n, Kind: d.Proc, Iteration: s.iteration,
-				StartSec: start, CopySec: copyDone - ready, DurSec: dur,
-			})
-		}
-		if fin > taskFinish {
-			taskFinish = fin
-		}
-		if dur > execWall {
-			execWall = dur
-		}
+		s.exec(float64(waves)*perPoint, float64(active), proc.PowerW, n, d.Proc)
 	}
 
 	// Commit write effects.
 	for a, arg := range t.Args {
-		al := s.topo.alias[arg.Collection]
 		if !arg.Privilege.Writes() {
-			if arg.Privilege.Reads() && taskFinish > s.accessDone[al] {
-				s.accessDone[al] = taskFinish
-			}
 			continue
 		}
+		al := s.topo.alias[arg.Collection]
 		c := s.g.Collection(arg.Collection)
-		if c.Partitioned {
-			if d.Distribute {
-				for _, n := range nodes {
-					if s.placed[tid][a][n] {
-						s.shardValid[al][n] = sharedLoc{node: n, kind: s.placement[tid][a][n].kind}
-					}
+		switch {
+		case c.Partitioned && d.Distribute:
+			for _, n := range nodes {
+				if s.placed[tid][a][n] {
+					s.shardValid[al][n] = sharedLoc{node: n, kind: s.placement[tid][a][n].kind}
 				}
-			} else if s.placed[tid][a][0] {
+			}
+		case c.Partitioned:
+			if s.placed[tid][a][0] {
 				for sh := 0; sh < s.nodes; sh++ {
 					s.shardValid[al][sh] = sharedLoc{node: 0, kind: s.placement[tid][a][0].kind}
 				}
 			}
-		} else {
-			s.invalidateSharedExcept(al, writerLocs[a])
-			if len(writerLocs[a]) > 1 {
-				// Distributed write of a shared collection:
-				// each node produced only its part.
-				w := len(writerLocs[a])
-				s.sharedValid[al] = s.sharedValid[al][:0]
-				s.partial[al] = partialInfo{
-					active: true,
-					frac:   float64(w-1) / float64(w),
-					src:    writerLocs[a][0].node,
-				}
-			} else {
-				s.partial[al] = partialInfo{}
+		case len(writerLocs[a]) > 1:
+			// Distributed write of a shared collection: each node
+			// produced only its part.
+			w := len(writerLocs[a])
+			s.sharedValid[al] = s.sharedValid[al][:0]
+			s.partial[al] = partialInfo{
+				active: true,
+				frac:   float64(w-1) / float64(w),
+				src:    writerLocs[a][0].node,
 			}
-		}
-		if taskFinish > s.writeDone[al] {
-			s.writeDone[al] = taskFinish
-		}
-		if taskFinish > s.accessDone[al] {
-			s.accessDone[al] = taskFinish
+		default:
+			s.sharedValid[al] = append(s.sharedValid[al][:0], writerLocs[a]...)
+			s.partial[al] = partialInfo{}
 		}
 	}
-
-	s.taskFinish[tid] = taskFinish
-	s.result.TaskWallSec[tid] += execWall
-	return taskFinish
 }
 
 // procFor returns a representative processor of kind k for calibration

@@ -1,5 +1,5 @@
 // Machine/program topology tables: everything about (machine, program)
-// that the placement and timing passes look up per launch but that never
+// that the placement and structure passes look up per launch but that never
 // changes between runs — alias resolution, per-node processor and memory
 // inventories, representative processors, and inter-kind copy channel
 // parameters. Precomputing them once per (machine, program) pair removes
@@ -46,10 +46,10 @@ type topology struct {
 	// the modeled clusters); nil if the machine has none.
 	procRep []*machine.Processor
 	// chans[node][a][b] is the copy bandwidth/latency between memory
-	// kinds a and b on the node (the chanBW computation, memoized).
+	// kinds a and b on the node, precomputed for intraCopy.
 	chans [][][]bwLat
 	// maxArgs is the largest argument count of any task, sizing the
-	// timing pass's per-launch scratch.
+	// structure pass's per-launch scratch.
 	maxArgs int
 
 	// argDeps[task] caches, per argument in order, the alias and

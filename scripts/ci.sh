@@ -105,8 +105,10 @@ echo "== incremental-vs-full differential smoke"
 # with a fixed seed the report, mapping, and full event stream (including
 # the sim.eval.* counters and rotation-span attrs, which are attributed on
 # the commit path in both modes) must be byte-identical to a run forced
-# onto the full-simulation path with -incremental=false.
-for case in "stencil:" "circuit:n50w200"; do
+# onto the full-simulation path with -incremental=false. htr is the case
+# where about half of the fresh candidates are patched, so it drives the
+# patcher's re-recording of dirty launches hardest.
+for case in "stencil:" "circuit:n50w200" "htr:32x256y36z"; do
     app=${case%%:*}; input=${case#*:}
     input_flag=""
     [ -n "$input" ] && input_flag="-input $input"
