@@ -141,7 +141,7 @@ func cmdTop(base string) {
 	}
 	fmt.Println("daemon:")
 	// Wall-clock pipeline telemetry (driver.* — per-worker throughput,
-	// commit-queue wait, superseded speculation) is collected by prefix:
+	// commit-queue wait, discarded speculation) is collected by prefix:
 	// the per-worker series are labeled, so their names are open-ended.
 	var workerLines []string
 	sc := bufio.NewScanner(resp.Body)

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"automap/internal/checkpoint"
 	"automap/internal/machine"
@@ -89,7 +88,7 @@ type Options struct {
 	// order.
 	Workers int
 	// WallMetrics optionally receives wall-clock operational telemetry:
-	// per-worker evaluation throughput, commit-queue wait, superseded
+	// per-worker evaluation throughput, commit-queue wait, discarded
 	// speculation (see wallstats.go). These measure real time and
 	// scheduling, so they are deliberately kept OUT of the deterministic
 	// Observer registry — two byte-identical searches will report
@@ -187,18 +186,20 @@ type Evaluator struct {
 
 	// inst amortizes simulator topology tables, placement plans, and
 	// run scratch across every simulation of the search; sem bounds all
-	// concurrently executing simulations to `workers`. delta wraps inst
+	// concurrently executing Measure calls to `workers`. delta wraps inst
 	// with incremental re-simulation against the search incumbent
 	// (sim.DeltaInstance); runner is whichever of the two measurements go
 	// through (Options.DisableIncremental selects inst). delta is always
 	// constructed and classified against even when disabled, so the
 	// attribution counters — and with them every report and event byte —
-	// are identical in both modes.
+	// are identical in both modes. cfgs are the search phase's per-repeat
+	// configs, the same for every candidate.
 	inst    *sim.Instance
 	delta   *sim.DeltaInstance
 	runner  simRunner
 	sem     chan struct{}
 	workers int
+	cfgs    []sim.Config
 
 	// Commit-path attribution of evaluations to the incremental or the
 	// full path (guarded by mu): how many committed candidate
@@ -238,13 +239,14 @@ type Evaluator struct {
 	// responsive while candidates execute, and misuse of the commit
 	// contract shows up under -race instead of as silent corruption.
 	mu sync.Mutex
-	// spec holds speculative measurement results produced by Prefetch,
+	// spec holds speculative per-repeat results produced by Prefetch,
 	// keyed by mapping key, awaiting commit by Evaluate; inflight holds
-	// the jobs workers have claimed and are measuring right now. Both
-	// are guarded by specMu (never acquired while holding pfMu's critical
-	// work — lock order is pfMu before specMu).
+	// the keys being measured right now — the jobs workers have claimed,
+	// and the search loop's own claim on the key it is evaluating (see
+	// waitSpec). Both are guarded by specMu (lock order is pfMu before
+	// specMu).
 	specMu   sync.Mutex
-	spec     map[string]specResult
+	spec     map[string][]*sim.Result
 	inflight map[string]*prefetchJob
 	// The prefetch pipeline (guarded by pfMu): Prefetch enqueues batches
 	// and returns immediately; up to `workers` pipeline goroutines drain
@@ -253,16 +255,12 @@ type Evaluator struct {
 	// candidates — and pfActive tracks live workers so re-batching never
 	// over-spawns. pfWG lets drainPrefetch wait the pipeline out.
 	// freeSlots recycles worker slot indices so the per-worker wall
-	// telemetry keys stay in [0, workers). pfGen is the batch generation:
-	// Prefetch bumps it, and an in-flight job whose generation is stale —
-	// and that no Evaluate is waiting on — abandons its remaining repeats
-	// instead of finishing a superseded measurement.
+	// telemetry keys stay in [0, workers).
 	pfMu      sync.Mutex
 	pfQueue   []*prefetchJob
 	pfActive  int
 	freeSlots []int
 	pfWG      sync.WaitGroup
-	pfGen     atomic.Uint64
 
 	// Suggested counts Evaluate calls; Evaluated counts distinct
 	// mappings actually measured (Section 5.3's accounting).
@@ -345,8 +343,9 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 		runner:    runner,
 		sem:       make(chan struct{}, workers),
 		workers:   workers,
+		cfgs:      runConfigs(max(opts.Repeats, 1), opts.NoiseSigma, opts.Seed),
 		freeSlots: freeSlots,
-		spec:      make(map[string]specResult),
+		spec:      make(map[string][]*sim.Result),
 		inflight:  make(map[string]*prefetchJob),
 		replay:    replay,
 
@@ -371,26 +370,11 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	}
 }
 
-// specResult is one speculative measurement awaiting commit: the raw
-// per-repeat results and errors of measureRuns.
-type specResult struct {
-	results []*sim.Result
-	errs    []error
-}
-
 // specCacheLimit bounds the speculative-result cache; entries are normally
 // consumed immediately by Evaluate, so the cap only matters for sweeps that
 // re-batch heavily, and dropping the cache is always safe (results are
 // reproducible from the key-derived seeds).
 const specCacheLimit = 1024
-
-// repeats returns the effective per-candidate repeat count.
-func (e *Evaluator) repeats() int {
-	if e.Opts.Repeats < 1 {
-		return 1
-	}
-	return e.Opts.Repeats
-}
 
 // Evaluate measures mp with Opts.Repeats noisy runs (or returns the cached
 // mean for repeated suggestions) and advances the search clock by the
@@ -431,30 +415,36 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// commits; it only keeps clock/metric readers and checkpoint writers
 	// responsive while a candidate executes.
 	e.mu.Unlock()
-	results, errs := e.waitSpec(key)
+	results := e.waitSpec(key)
 	if results == nil {
 		e.wall.syncEval()
-		results, errs = measureRuns(e.runner, key, mp, e.repeats(), e.Opts.NoiseSigma, e.Opts.Seed, e.sem)
+		// A failed run is a nil result, which commits as a failure.
+		results, _ = measureRuns(e.runner, key, mp, e.cfgs, e.sem)
 	}
 	e.mu.Lock()
-	verdict := e.commitRuns(key, mp, toRuns(results, errs, e.Opts.objective()))
+	verdict := e.commitRuns(key, mp, toRuns(results, e.Opts.objective()))
 	// Only fresh measurements advance the periodic-checkpoint counter:
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
 	e.mu.Unlock()
+	// The key is in the DB now, which keeps speculation off it; release
+	// the claim waitSpec took.
+	e.specMu.Lock()
+	delete(e.inflight, key)
+	e.specMu.Unlock()
 	return verdict
 }
 
 // toRuns normalizes raw simulation results to checkpoint run records: the
 // exact fields the commit path consumes, with the objective evaluated now so
 // a replay after the fact does not need the (unserializable) sim.Result.
-func toRuns(results []*sim.Result, errs []error, obj func(*sim.Result) float64) []checkpoint.Run {
+// A nil result is a failed run.
+func toRuns(results []*sim.Result, obj func(*sim.Result) float64) []checkpoint.Run {
 	runs := make([]checkpoint.Run, len(results))
-	for i := range results {
-		if errs[i] != nil {
+	for i, r := range results {
+		if r == nil {
 			continue // zero value: OK == false
 		}
-		r := results[i]
 		runs[i] = checkpoint.Run{
 			OK:             true,
 			MakespanSec:    r.MakespanSec,
@@ -646,17 +636,12 @@ type prefetchJob struct {
 	key  string
 	mp   *mapping.Mapping
 	done chan struct{}
-	// gen is the batch generation the job most recently appeared in
-	// (Prefetch refreshes it when a re-batch re-requests an in-flight
-	// key). A worker whose job is behind the evaluator's pfGen knows the
-	// batch was superseded and abandons the remaining repeats — unless
-	// wanted is set, which an Evaluate blocked on done uses to say the
-	// result will commit immediately. wanted is best-effort: a worker
-	// that already decided to abandon closes done without publishing,
-	// and the waiter re-measures (bit-identical, seeds are key-derived).
-	gen    atomic.Uint64
-	wanted atomic.Bool
 }
+
+// searchClaim is the search loop's entry in inflight for the key it is
+// evaluating. Nothing waits on it: only the search loop would, and it
+// releases the claim before its next Evaluate.
+var searchClaim = &prefetchJob{}
 
 // Prefetch speculatively measures candidates concurrently, bounded by the
 // worker pool. It has no observable side effects: no counters move, no
@@ -675,7 +660,8 @@ type prefetchJob struct {
 // so the search loop overlaps its commit work with speculation instead
 // of stalling behind the whole batch, and an accepted improvement (which
 // re-batches from the new incumbent) wastes only the jobs already in
-// flight, not a full batch of stale measurements.
+// flight or published, not a full batch of stale measurements
+// (driver.prefetch.discarded counts them).
 func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	if e.workers <= 1 {
 		return
@@ -718,11 +704,6 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 			limit = rem
 		}
 	}
-	// This batch starts a new generation: in-flight jobs not re-requested
-	// below become stale and abandon their remaining repeats at the next
-	// between-repeat check, so a replaced batch costs at most one repeat
-	// per worker instead of a full superseded measurement each.
-	gen := e.pfGen.Add(1)
 	jobs := make([]*prefetchJob, 0, len(cands))
 	seen := make(map[string]bool, len(cands))
 	for _, mp := range cands {
@@ -745,12 +726,7 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		e.specMu.Lock()
 		_, have := e.spec[key]
 		if !have {
-			if j := e.inflight[key]; j != nil {
-				// Still wanted by the new batch: refresh its
-				// generation so the in-flight worker finishes it.
-				j.gen.Store(gen)
-				have = true
-			}
+			_, have = e.inflight[key]
 		}
 		e.specMu.Unlock()
 		if have {
@@ -759,9 +735,7 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		if mp.Validate(e.G, e.model) != nil {
 			continue
 		}
-		j := &prefetchJob{key: key, mp: mp, done: make(chan struct{})}
-		j.gen.Store(gen)
-		jobs = append(jobs, j)
+		jobs = append(jobs, &prefetchJob{key: key, mp: mp, done: make(chan struct{})})
 	}
 	// Replace the queue (stale candidates are superseded) and top the
 	// worker pool up to min(workers, queue length). Dropped jobs were
@@ -791,8 +765,9 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	e.pfMu.Unlock()
 }
 
-// claimJob pops the next unclaimed queue entry, registering it in
-// inflight. A nil return retires the calling worker (the decrement and
+// claimJob pops the next queue entry that is neither published, in
+// flight, nor already committed to the DB, registering it in inflight. A
+// nil return retires the calling worker (the decrement and
 // the slot recycle happen here, under pfMu, so Prefetch's spawn
 // accounting and worker exits never race).
 func (e *Evaluator) claimJob(slot int) *prefetchJob {
@@ -805,6 +780,11 @@ func (e *Evaluator) claimJob(slot int) *prefetchJob {
 		_, have := e.spec[j.key]
 		if !have {
 			_, have = e.inflight[j.key]
+		}
+		if !have {
+			// Evaluate records a key in the DB before releasing its
+			// claim, so a released claim is always seen here.
+			_, have = e.DB.Lookup(j.key)
 		}
 		if have {
 			e.specMu.Unlock()
@@ -826,67 +806,51 @@ func (e *Evaluator) claimJob(slot int) *prefetchJob {
 // Callers run it on a goroutine registered with pfWG (Done is the
 // spawner's deferred call).
 //
-// A worker runs its job's repeats SEQUENTIALLY (under the shared
-// semaphore): the worker pool itself is the parallelism — `workers`
-// candidates measure concurrently, one goroutine each — so fanning each
-// job out into per-repeat goroutines would only multiply scheduler load
-// without adding throughput. Sequential repeats are also what makes
-// supersede cheap: between repeats the worker checks whether its batch
-// generation is stale and, if no Evaluate is blocked on the job, abandons
-// it — publishing nothing, so abandonment is invisible to the trajectory.
+// A job is one Measure call under the shared semaphore — one structure
+// pass folded once per repeat: the worker pool itself is the parallelism,
+// `workers` candidates measuring concurrently, so splitting a job's
+// repeats across goroutines would only repeat its structure pass.
 func (e *Evaluator) prefetchWorker(slot int) {
 	for {
 		j := e.claimJob(slot)
 		if j == nil {
 			return
 		}
-		repeats := e.repeats()
-		results := make([]*sim.Result, repeats)
-		errs := make([]error, repeats)
-		abandoned := false
 		start := e.wall.now()
-		for i := 0; i < repeats; i++ {
-			if i > 0 && j.gen.Load() != e.pfGen.Load() && !j.wanted.Load() {
-				abandoned = true
-				break
-			}
-			e.sem <- struct{}{}
-			results[i], errs[i] = e.runner.RunKeyed(j.key, j.mp, sim.Config{NoiseSigma: e.Opts.NoiseSigma, Seed: runSeed(e.Opts.Seed, i)})
-			<-e.sem
-		}
-		if abandoned {
-			// Retract the claim before signaling: a waiter that raced
-			// the wanted check wakes, finds no published result, and
-			// re-measures synchronously (bit-identical by seed
-			// derivation).
-			e.specMu.Lock()
-			delete(e.inflight, j.key)
-			e.specMu.Unlock()
-			close(j.done)
-			e.wall.supersede()
-			continue
+		e.sem <- struct{}{}
+		results, err := e.runner.Measure(j.key, j.mp, e.cfgs)
+		<-e.sem
+		if err != nil {
+			// Placement failed: every run failed, and nil results commit
+			// as failures.
+			results = make([]*sim.Result, len(e.cfgs))
 		}
 		e.wall.workerEval(slot, e.wall.now()-start)
 		e.specMu.Lock()
 		if len(e.spec) >= specCacheLimit {
-			e.spec = make(map[string]specResult)
+			e.wall.discard(len(e.spec))
+			e.spec = make(map[string][]*sim.Result)
 		}
-		e.spec[j.key] = specResult{results: results, errs: errs}
+		e.spec[j.key] = results
 		delete(e.inflight, j.key)
 		e.specMu.Unlock()
 		close(j.done)
 	}
 }
 
-// drainPrefetch empties the queue and waits for in-flight speculative
-// work to finish. SearchFromSpace calls it when the search phase ends so
-// the final phase never races pipeline workers; tests call it before
-// asserting on the speculative cache.
+// drainPrefetch empties the queue, waits for in-flight speculative work to
+// finish, and drops the published results no Evaluate committed.
+// SearchFromSpace calls it when the search phase ends so the final phase
+// never races pipeline workers.
 func (e *Evaluator) drainPrefetch() {
 	e.pfMu.Lock()
 	e.pfQueue = nil
 	e.pfMu.Unlock()
 	e.pfWG.Wait()
+	e.specMu.Lock()
+	e.wall.discard(len(e.spec))
+	clear(e.spec)
+	e.specMu.Unlock()
 }
 
 // flushPrefetch waits for the pipeline to finish every queued job (test
@@ -895,38 +859,31 @@ func (e *Evaluator) flushPrefetch() { e.pfWG.Wait() }
 
 // waitSpec consumes the speculative measurement for key: immediately if
 // it is already in the cache, after a wait if a pipeline worker has it in
-// flight, and not at all (nil) if speculation never claimed it. The wait
-// is deadlock-free: workers publish without touching the evaluator's
-// commit lock.
-func (e *Evaluator) waitSpec(key string) ([]*sim.Result, []error) {
-	e.specMu.Lock()
-	if s, ok := e.spec[key]; ok {
-		delete(e.spec, key)
-		e.specMu.Unlock()
-		return s.results, s.errs
-	}
-	j := e.inflight[key]
-	e.specMu.Unlock()
-	if j == nil {
-		return nil, nil
-	}
-	// Mark the job wanted before blocking so a superseded batch doesn't
-	// abandon the one job the search is actually waiting for. Best
-	// effort — see prefetchJob.wanted.
-	j.wanted.Store(true)
-	start := e.wall.now()
-	<-j.done
-	e.wall.commitWaitSince(start)
+// flight, and not at all (nil) if speculation never claimed it or the
+// cache was reset before the commit got to it. Either way it leaves the
+// search loop's claim on key in inflight, so no worker measures the key
+// again before Evaluate has committed it to the DB and released the claim.
+// The wait is deadlock-free: workers publish without touching the
+// evaluator's commit lock.
+func (e *Evaluator) waitSpec(key string) []*sim.Result {
 	e.specMu.Lock()
 	defer e.specMu.Unlock()
-	s, ok := e.spec[key]
-	if !ok {
-		// The cache was reset under pressure between publish and here;
-		// the caller re-measures (bit-identical, seeds are derived).
-		return nil, nil
+	for {
+		// Check and claim in one critical section: a worker must never
+		// claim the key between the two.
+		j := e.inflight[key]
+		if j == nil {
+			e.inflight[key] = searchClaim
+			results := e.spec[key]
+			delete(e.spec, key)
+			return results
+		}
+		e.specMu.Unlock()
+		start := e.wall.now()
+		<-j.done
+		e.wall.commitWaitSince(start)
+		e.specMu.Lock()
 	}
-	delete(e.spec, key)
-	return s.results, s.errs
 }
 
 // SearchTimeSec returns the simulated search time consumed so far.
@@ -1243,17 +1200,18 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	// the search clock it sums application makespans, including the runs a
 	// failed finalist completed before failing.
 	var finalSec float64
+	finalCfgs := runConfigs(opts.FinalRepeats, opts.NoiseSigma, finalBase)
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		results, errs := measureRuns(ev.runner, mp.Key(), mp, opts.FinalRepeats, opts.NoiseSigma, finalBase, ev.sem)
+		results, _ := measureRuns(ev.runner, mp.Key(), mp, finalCfgs, ev.sem) // failed runs are nil
 		times := make([]float64, 0, len(results))
 		ok := true
-		for i := range results {
-			if errs[i] != nil {
+		for _, r := range results {
+			if r == nil {
 				ok = false
 				continue
 			}
-			finalSec += results[i].MakespanSec
-			times = append(times, obj(results[i]))
+			finalSec += r.MakespanSec
+			times = append(times, obj(r))
 		}
 		if !ok {
 			return nil, false
@@ -1312,13 +1270,13 @@ func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, re
 	}
 	inst := sim.New(m, g)
 	sem := make(chan struct{}, resolveWorkers(0))
-	results, errs := measureRuns(inst, mp.Key(), mp, repeats, noise, seed, sem)
+	results, err := measureRuns(inst, mp.Key(), mp, runConfigs(repeats, noise, seed), sem)
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
-	for i := range results {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		sum += results[i].MakespanSec
+	for _, r := range results {
+		sum += r.MakespanSec
 	}
 	return sum / float64(repeats), nil
 }

@@ -1,8 +1,9 @@
 // The shared measurement path: every repeated-run protocol in the driver —
 // candidate evaluation (7 repeats), final re-measurement (31 repeats), and
-// baseline MeasureMapping — funnels through measureRuns, which executes the
-// repeats concurrently under a worker semaphore with order-independent
-// noise seeds.
+// baseline MeasureMapping — funnels through measureRuns, which splits the
+// repeats into contiguous chunks measured concurrently under a worker
+// semaphore, one simulator Measure call (one structure pass, one fold per
+// repeat) per chunk, with order-independent noise seeds.
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
@@ -63,47 +64,62 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// simRunner is the simulator surface the measurement path needs: a keyed
-// run. Satisfied by both *sim.Instance (full simulation with schedule
-// fold) and *sim.DeltaInstance (incremental re-simulation against the
-// search incumbent); both return bit-identical results for any input, so
-// which one backs an evaluator never affects what is measured — only how
-// fast.
+// simRunner is the simulator surface the measurement path needs: one
+// candidate measured under a list of configs. Satisfied by both
+// *sim.Instance (full structure pass) and *sim.DeltaInstance (incremental
+// re-simulation against the search incumbent); both return bit-identical
+// results for any input, so which one backs an evaluator never affects what
+// is measured — only how fast.
 type simRunner interface {
-	RunKeyed(key string, mp *mapping.Mapping, cfg sim.Config) (*sim.Result, error)
+	Measure(key string, mp *mapping.Mapping, cfgs []sim.Config) ([]*sim.Result, error)
 }
 
-// measureRuns executes `repeats` independent simulations of mp (whose
-// canonical key is key) with seeds runSeed(base, i), concurrently
-// bounded by the semaphore sem. Results and errors are returned in repeat
-// order; both are deterministic regardless of scheduling. A non-positive
-// repeat count returns empty slices.
-func measureRuns(inst simRunner, key string, mp *mapping.Mapping, repeats int, noise float64, base uint64, sem chan struct{}) ([]*sim.Result, []error) {
-	if repeats < 1 {
-		return nil, nil
+// runConfigs returns the configs of `repeats` runs at noise level noise,
+// run i seeded runSeed(base, i). A non-positive repeat count returns none.
+func runConfigs(repeats int, noise float64, base uint64) []sim.Config {
+	cfgs := make([]sim.Config, max(repeats, 0))
+	for i := range cfgs {
+		cfgs[i] = sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)}
 	}
-	results := make([]*sim.Result, repeats)
-	errs := make([]error, repeats)
-	if cap(sem) <= 1 || repeats == 1 {
-		// A single worker serializes everything anyway; skip the
-		// goroutine machinery.
-		for i := 0; i < repeats; i++ {
-			sem <- struct{}{}
-			results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
-			<-sem
-		}
-		return results, errs
+	return cfgs
+}
+
+// measureRuns measures mp (whose canonical key is key) under cfgs. The
+// configs are split into at most cap(sem) contiguous chunks, measured
+// concurrently by one Measure call each under the semaphore sem: a chunk
+// pays one structure pass, so fewer chunks save work and more chunks use
+// idle workers. Results are returned in config order and are deterministic
+// regardless of scheduling; a run that failed has a nil result, and the
+// first chunk's error in config order is returned (placement failure is a
+// function of the mapping, so every chunk fails alike).
+func measureRuns(inst simRunner, key string, mp *mapping.Mapping, cfgs []sim.Config, sem chan struct{}) ([]*sim.Result, error) {
+	results := make([]*sim.Result, len(cfgs))
+	n := min(cap(sem), len(cfgs))
+	errs := make([]error, n)
+	run := func(c int) {
+		lo, hi := c*len(cfgs)/n, (c+1)*len(cfgs)/n
+		sem <- struct{}{}
+		res, err := inst.Measure(key, mp, cfgs[lo:hi])
+		<-sem
+		copy(results[lo:hi], res)
+		errs[c] = err
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < repeats; i++ {
+	for c := 1; c < n; c++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(c int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = inst.RunKeyed(key, mp, sim.Config{NoiseSigma: noise, Seed: runSeed(base, i)})
-		}(i)
+			run(c)
+		}(c)
+	}
+	if n > 0 {
+		run(0)
 	}
 	wg.Wait()
-	return results, errs
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
 }

@@ -40,9 +40,11 @@ type wallStats struct {
 	// synchronously because speculation never claimed them
 	// (driver.commit.sync_evals) — the "pipeline missed" indicator.
 	syncEvals *telemetry.Counter
-	// superseded counts speculative jobs abandoned mid-measurement after
-	// their batch was replaced (driver.prefetch.superseded).
-	superseded *telemetry.Counter
+	// discarded counts speculative measurements published to the
+	// speculative cache and never committed: dropped by the cache's size
+	// reset or left over when the search phase ends
+	// (driver.prefetch.discarded).
+	discarded *telemetry.Counter
 
 	// Per worker slot: evaluations published and busy seconds
 	// accumulated, as driver.worker.evals{worker="N"} counters and
@@ -63,7 +65,7 @@ func newWallStats(reg *telemetry.Registry, workers int) *wallStats {
 		clock:      telemetry.WallClock(),
 		commitWait: reg.Histogram("driver.commit.wait_sec", commitWaitBuckets),
 		syncEvals:  reg.Counter("driver.commit.sync_evals"),
-		superseded: reg.Counter("driver.prefetch.superseded"),
+		discarded:  reg.Counter("driver.prefetch.discarded"),
 	}
 	for i := 0; i < workers; i++ {
 		w.workerEvals = append(w.workerEvals, reg.Counter(fmt.Sprintf(`driver.worker.evals{worker="%d"}`, i)))
@@ -89,12 +91,12 @@ func (w *wallStats) syncEval() {
 	w.syncEvals.Add(1)
 }
 
-// supersede records one speculative job abandoned as stale.
-func (w *wallStats) supersede() {
+// discard records n speculative measurements dropped uncommitted.
+func (w *wallStats) discard(n int) {
 	if w == nil {
 		return
 	}
-	w.superseded.Add(1)
+	w.discarded.Add(int64(n))
 }
 
 // commitWaitSince observes the time since start (a now() reading) that the

@@ -73,9 +73,9 @@ type Evaluator interface {
 // the contract algorithms rely on when they re-batch from a new incumbent
 // after an accept (see CCD.optimizeTask). Speculative work for candidates
 // that appear in neither the new batch nor a waiting Evaluate may be
-// abandoned mid-measurement; because speculation has no observable
-// effects, abandonment is invisible to the trajectory and shows up only
-// as reclaimed wall-clock time. Algorithms should therefore prefetch the
+// abandoned or thrown away; because speculation has no observable
+// effects, that is invisible to the trajectory and shows up only in
+// wall-clock time. Algorithms should therefore prefetch the
 // full remaining enumeration each time rather than rationing batches —
 // stale entries cost at most the work already in flight.
 type BatchEvaluator interface {

@@ -15,7 +15,7 @@
 // When the candidate is not a bounded delta — too many flipped decisions,
 // placement rows of unchanged tasks moved (capacity accounting is global,
 // so a spill elsewhere invalidates recorded durations), or the estimated
-// dirty frontier exceeds MaxDirtyFrac — RunKeyed falls back to a full
+// dirty frontier exceeds MaxDirtyFrac — Measure falls back to a full
 // structure pass. Classification is a pure function of (candidate, base),
 // exposed as Classify so the driver can count incremental/fallback
 // evaluations deterministically on its sequential commit path.
@@ -31,9 +31,9 @@ import (
 )
 
 // DeltaInstance extends Instance with incremental re-simulation against a
-// movable base mapping. All Instance methods remain available; RunKeyed
-// is overridden to try the incremental path first. Concurrent RunKeyed
-// calls are safe.
+// movable base mapping. All Instance methods remain available; Measure
+// and RunKeyed are overridden to try the incremental path first.
+// Concurrent calls are safe.
 type DeltaInstance struct {
 	*Instance
 
@@ -69,12 +69,10 @@ type deltaBase struct {
 	key string
 	mp  *mapping.Mapping
 
-	// once guards the lazy deep-record; the results below are written
-	// exactly once, before any reader returns from ensure.
+	// once guards the lazy deep-record, written exactly once before any
+	// reader returns from ensure.
 	once sync.Once
-	plan *PlacementPlan
-	sch  *schedule // deep-recorded
-	err  error
+	sch  *schedule
 }
 
 // NewDelta wraps an Instance with incremental re-simulation state. The
@@ -109,53 +107,50 @@ func NewDelta(in *Instance) *DeltaInstance {
 // SetBase declares mp the base mapping deltas are evaluated against
 // (typically the search incumbent; the caller owns mp and must not
 // mutate it afterwards — search incumbents are immutable by convention).
-// The base's deep-recorded schedule is built lazily on first use and its
-// fold schedule is pinned in the schedule cache. Setting the same base
-// again is a no-op.
+// The base's deep-recorded schedule is built lazily on first use. Setting
+// the same base again is a no-op.
 func (d *DeltaInstance) SetBase(mp *mapping.Mapping) {
 	key := mp.Key()
 	if b := d.base.Load(); b != nil && b.key == key {
 		return
 	}
 	d.base.Store(&deltaBase{key: key, mp: mp})
-	d.pinSched(key)
 }
 
-// ensure lazily plans and deep-records the base, memoizing the outcome
-// (including placement failure) on the snapshot. Concurrent callers of a
-// cold base block on the one recording run; a warmed base costs one
-// sync.Once fast-path load.
-func (d *DeltaInstance) ensure(b *deltaBase) (*PlacementPlan, *schedule, error) {
+// ensure lazily deep-records the base, memoizing the outcome on the
+// snapshot: nil when the base does not place. Concurrent callers of a cold
+// base block on the one recording run; a warmed base costs one sync.Once
+// fast-path load.
+func (d *DeltaInstance) ensure(b *deltaBase) *schedule {
 	b.once.Do(func() {
-		b.plan, b.err = d.planFor(b.key, b.mp)
-		if b.err == nil {
-			// Structure is config-independent: record once, fold under
-			// any (noise, trace) config.
-			b.sch = d.record(b.plan, true)
-			d.storeSched(b.key, b.sch)
+		if plan, err := d.planFor(b.key, b.mp); err == nil {
+			b.sch = d.recordBase(plan)
 		}
 	})
-	return b.plan, b.sch, b.err
+	return b.sch
 }
 
-// RunKeyed evaluates mp like Instance.RunKeyed but serves bounded deltas
-// against the base incrementally. Results are byte-identical to the full
-// path in every case, including *OOMError outcomes (the plan cache stores
-// one error object per key, shared by both paths).
+// RunKeyed is Measure with one config.
 func (d *DeltaInstance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
+	return first(d.Measure(key, mp, []Config{cfg}))
+}
+
+// Measure evaluates mp like Instance.Measure but serves a bounded delta
+// against the base by patching the base's schedule instead of running the
+// full structure pass. Results are byte-identical to the full path in
+// every case, including *OOMError outcomes (the plan cache stores one
+// error object per key, shared by both paths).
+func (d *DeltaInstance) Measure(key string, mp *mapping.Mapping, cfgs []Config) ([]*Result, error) {
 	plan, err := d.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	sch := d.schedFor(key)
-	if sch == nil {
-		sch = d.tryPatch(key, mp, plan)
+	s := d.tryPatch(mp, plan)
+	if s == nil {
+		s = d.getState(plan, nil)
+		s.run()
 	}
-	if sch == nil {
-		sch = d.record(plan, false)
-		d.storeSched(key, sch)
-	}
-	return d.fold(sch, plan, cfg), nil
+	return d.foldAll(s, cfgs), nil
 }
 
 // Classify reports whether an evaluation of (key, mp) would be served
@@ -176,10 +171,11 @@ func (d *DeltaInstance) Classify(key string, mp *mapping.Mapping) bool {
 	return d.classifyAgainst(mp, b, plan, changed)
 }
 
-// tryPatch classifies (key, mp) against the current base and, when it is
-// a bounded delta, builds and caches its spliced schedule. Returns nil
-// when the candidate needs a full structure pass.
-func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *PlacementPlan) *schedule {
+// tryPatch classifies mp against the current base and, when it is a
+// bounded delta, returns a pooled state holding its spliced schedule (the
+// caller folds it and returns the state to the pool). Returns nil when the
+// candidate needs a full structure pass.
+func (d *DeltaInstance) tryPatch(mp *mapping.Mapping, plan *PlacementPlan) *state {
 	b := d.base.Load()
 	if b == nil {
 		return nil
@@ -188,13 +184,11 @@ func (d *DeltaInstance) tryPatch(key string, mp *mapping.Mapping, plan *Placemen
 	if !d.classifyAgainst(mp, b, plan, changed) {
 		return nil
 	}
-	_, baseSched, err := d.ensure(b)
-	if err != nil {
+	baseSched := d.ensure(b)
+	if baseSched == nil {
 		return nil
 	}
-	sch := d.patch(plan, baseSched, changed)
-	d.storeSched(key, sch)
-	return sch
+	return d.patch(plan, baseSched, changed)
 }
 
 // decisionsEqual reports whether two task decisions are identical,
@@ -298,18 +292,14 @@ func planRowsEqual(a, b *PlacementPlan, tid int) bool {
 	return true
 }
 
-// patch builds the candidate's finalized schedule by walking the base's
-// launches in order: clean launches (unchanged task, no unhealed dirty
-// argument alias) are copied verbatim; dirty launches are re-recorded by
-// the structure pass against a coherence overlay seeded from the base's
-// recorded pre-states. The fold computes all times from the spliced
-// records.
-func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []bool) *schedule {
-	s := d.getState(plan, &schedule{
-		ops:      make([]copyOp, 0, len(base.ops)+16),
-		execs:    make([]execRec, 0, len(base.execs)+16),
-		launches: make([]launchRec, 0, len(base.launches)),
-	})
+// patch splices the candidate's schedule into a pooled state's buffers by
+// walking the base's launches in order: clean launches (unchanged task, no
+// unhealed dirty argument alias) are copied verbatim; dirty launches are
+// re-recorded by the structure pass against a coherence overlay seeded
+// from the base's recorded pre-states. The fold computes all times from
+// the spliced records.
+func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []bool) *state {
+	s := d.getState(plan, nil)
 
 	topo := d.topo
 	aliasDirty := make([]bool, len(d.g.Collections))
@@ -355,7 +345,7 @@ func (d *DeltaInstance) patch(plan *PlacementPlan, base *schedule, changed []boo
 			aliasDirty[deps[ai].alias] = true
 		}
 	}
-	return d.putState(s)
+	return s
 }
 
 // launchPreMatches reports whether the overlay's coherence state for

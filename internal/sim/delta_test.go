@@ -200,11 +200,14 @@ func TestDeltaFallbackBoundary(t *testing.T) {
 			t.Fatalf("flips=%d: Classify=%v, want %v", k, got, wantInc)
 		}
 		// tryPatch observes the patcher directly: a bounded delta must
-		// produce a spliced schedule, an unbounded one must not.
-		d.dropSchedule(key)
-		sch := d.tryPatch(key, cand, plan)
-		if (sch != nil) != wantInc {
-			t.Fatalf("flips=%d: tryPatch=%v, want patched=%v", k, sch != nil, wantInc)
+		// produce a spliced schedule in a pooled state, an unbounded one
+		// must not.
+		s := d.tryPatch(cand, plan)
+		if (s != nil) != wantInc {
+			t.Fatalf("flips=%d: tryPatch=%v, want patched=%v", k, s != nil, wantInc)
+		}
+		if s != nil {
+			d.putState(s)
 		}
 		want, werr := Simulate(m, g, cand, cfg)
 		if werr != nil {

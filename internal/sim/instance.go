@@ -10,21 +10,24 @@
 //     function of the mapping, so the repeats of one candidate (and any
 //     revisit of the same mapping) plan placement exactly once, and OOM
 //     verdicts are cached the same way;
-//   - recorded schedules are cached by mapping key — the structure pass
-//     runs once per candidate and every repeat only folds (schedule.go);
-//   - structure-pass scratch (coherence state) and fold scratch are
-//     recycled through sync.Pools instead of reallocated per run.
+//   - a candidate's repeats are one Measure call: the structure pass runs
+//     once, into the pooled state's reusable schedule buffers, and every
+//     repeat only folds it (schedule.go). The schedule lives for that one
+//     call, so no schedule is cached or allocated per candidate;
+//   - structure-pass scratch (coherence state and schedule buffers) and
+//     fold scratch are recycled through sync.Pools instead of reallocated
+//     per run.
 //
-// Run is safe for concurrent use. Simulate is New followed by one Run.
+// Measure and Run are safe for concurrent use. Simulate is New followed by
+// one Run.
 //
 // Concurrency design (DESIGN §15): the worker pool evaluates independent
 // candidates, so the hot path is built to share nothing mutable between
 // concurrent runs. Shared state is read-mostly and partitioned:
 //
-//   - the plan and schedule caches are sharded by key hash — concurrent
-//     runs of different candidates touch different shards, so a cache
-//     probe is an uncontended RLock instead of a fight over one global
-//     mutex;
+//   - the plan cache is sharded by key hash — concurrent runs of different
+//     candidates touch different shards, so a cache probe is an
+//     uncontended RLock instead of a fight over one global mutex;
 //   - noise tapes publish their draw prefix by pointer (copy-on-publish):
 //     the fold's read is one atomic load, and the tape mutex is taken
 //     only to extend the prefix — which happens O(distinct lengths) times
@@ -61,19 +64,6 @@ const planCacheLimit = 8192
 // keeping the per-Instance footprint trivial. Must be a power of two.
 const planShardCount = 64
 
-// schedCacheLimit bounds the recorded-schedule cache (schedule.go).
-// Schedules are much larger than plans — every copy op and exec of a run
-// — so the cache is kept small: the paper's measurement protocol repeats
-// each candidate several times back to back, which is the reuse that
-// matters. When a shard fills it is reset, keeping only the pinned delta
-// base.
-const schedCacheLimit = 64
-
-// schedShardCount partitions the schedule cache. Fewer shards than the
-// plan cache: the cache itself is small, so the per-shard capacity must
-// stay large enough for the repeat-locality pattern to survive resets.
-const schedShardCount = 8
-
 // planEntry is one cached placement outcome: the committed plan, or the
 // *OOMError placement failed with.
 type planEntry struct {
@@ -87,21 +77,14 @@ type planShard struct {
 	m  map[string]planEntry
 }
 
-// schedShard is one partition of the recorded-schedule cache.
-type schedShard struct {
-	mu sync.RWMutex
-	m  map[string]*schedule
-}
-
 // shardSeed keys the shard hash. One process-wide seed is fine: sharding
 // is a performance partition, not a security boundary, and a fixed seed
 // keeps shard assignment deterministic within a process.
 var shardSeed = maphash.MakeSeed()
 
-// shardIndex maps a cache key to a shard slot in [0, n). n must be a
-// power of two.
-func shardIndex(key string, n int) int {
-	return int(maphash.String(shardSeed, key) & uint64(n-1))
+// planShardFor returns the plan-cache shard of key.
+func (in *Instance) planShardFor(key string) *planShard {
+	return &in.plans[maphash.String(shardSeed, key)&(planShardCount-1)]
 }
 
 // Instance is a reusable simulator for one (machine, program) pair. Create
@@ -115,13 +98,6 @@ type Instance struct {
 	plans [planShardCount]planShard
 
 	pool sync.Pool // *state
-
-	// Recorded schedules by mapping key: the first run of a key records
-	// its structure, and every run folds it (schedule.go). schedPin names
-	// the delta base key, which survives shard resets.
-	scheds   [schedShardCount]schedShard
-	pinMu    sync.Mutex
-	schedPin string
 
 	foldPool sync.Pool // *foldScratch
 
@@ -246,127 +222,102 @@ func New(m *machine.Machine, g *taskir.Graph) *Instance {
 	for i := range in.plans {
 		in.plans[i].m = make(map[string]planEntry)
 	}
-	for i := range in.scheds {
-		in.scheds[i].m = make(map[string]*schedule)
-	}
 	return in
 }
 
 // Run executes g under mapping mp and returns the execution result, or an
 // *OOMError if the mapping does not fit, reusing the Instance's topology,
-// placement plans, schedules, and scratch. Callers that already know the
-// mapping's key should use RunKeyed to skip recomputing it.
+// placement plans, and scratch. Callers that already know the mapping's
+// key should use RunKeyed to skip recomputing it.
 func (in *Instance) Run(mp *mapping.Mapping, cfg Config) (*Result, error) {
 	return in.RunKeyed(mp.Key(), mp, cfg)
 }
 
 // RunKeyed is Run with the mapping's canonical key (mapping.Key) supplied
-// by the caller. The key must belong to mp: it is the plan-cache identity,
-// and two mappings with equal keys have identical decisions and therefore
-// identical plans.
+// by the caller: Measure with one config.
 func (in *Instance) RunKeyed(key string, mp *mapping.Mapping, cfg Config) (*Result, error) {
+	return first(in.Measure(key, mp, []Config{cfg}))
+}
+
+// Measure runs mp (whose canonical key is key) once per config and returns
+// the results in config order, or the *OOMError placement fails with. The
+// structure pass runs once, into pooled buffers, and is folded under each
+// config. The key must belong to mp: it is the plan-cache identity, and two
+// mappings with equal keys have identical decisions and therefore
+// identical plans.
+func (in *Instance) Measure(key string, mp *mapping.Mapping, cfgs []Config) ([]*Result, error) {
 	plan, err := in.planFor(key, mp)
 	if err != nil {
 		return nil, err
 	}
-	sch := in.schedFor(key)
-	if sch == nil {
-		sch = in.record(plan, false)
-		in.storeSched(key, sch)
-	}
-	return in.fold(sch, plan, cfg), nil
+	s := in.getState(plan, nil)
+	s.run()
+	return in.foldAll(s, cfgs), nil
 }
 
-// record runs the structure pass of plan and returns its finalized
-// schedule. deep additionally captures coherence pre-states (delta
-// bases).
-func (in *Instance) record(plan *PlacementPlan, deep bool) *schedule {
-	s := in.getState(plan, &schedule{deep: deep})
-	s.run()
-	return in.putState(s)
+// first returns the single result of a one-config Measure.
+func first(res []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // getState returns a pooled structure-pass state bound to plan, recording
-// into sch.
+// into sch — or, when sch is nil, into the state's own reusable buffers.
 func (in *Instance) getState(plan *PlacementPlan, sch *schedule) *state {
 	s, _ := in.pool.Get().(*state)
 	if s == nil {
 		s = &state{}
 	}
+	if sch == nil {
+		s.buf.ops, s.buf.execs, s.buf.launches = s.buf.ops[:0], s.buf.execs[:0], s.buf.launches[:0]
+		sch = &s.buf
+	}
 	s.init(plan, sch)
 	return s
 }
 
-// putState returns s to the pool and its recorded schedule, finalized.
-func (in *Instance) putState(s *state) *schedule {
-	sch := s.sch
-	sch.finalize()
+// putState returns s to the pool.
+func (in *Instance) putState(s *state) {
 	s.PlacementPlan, s.sch = nil, nil
 	in.pool.Put(s)
+}
+
+// recordBase runs the deep structure pass of plan — the schedule plus the
+// coherence pre-states the delta patcher splices against — into a fresh
+// schedule that outlives the call (a DeltaInstance base).
+func (in *Instance) recordBase(plan *PlacementPlan) *schedule {
+	sch := &schedule{deep: true}
+	s := in.getState(plan, sch)
+	s.run()
+	in.putState(s)
+	sch.finalize()
 	return sch
 }
 
-// fold replays a recorded schedule under cfg with pooled scratch and the
-// config's cached noise tape.
-func (in *Instance) fold(sch *schedule, plan *PlacementPlan, cfg Config) *Result {
+// foldAll finalizes the schedule s recorded, folds it once per config with
+// pooled scratch and each config's cached noise tape, and returns s to the
+// pool. The results share no storage with the schedule, which the pool
+// reuses.
+func (in *Instance) foldAll(s *state, cfgs []Config) []*Result {
+	sch := s.sch
+	sch.finalize()
 	fs, _ := in.foldPool.Get().(*foldScratch)
 	if fs == nil {
 		fs = &foldScratch{}
 	}
-	var noise []float64
-	if cfg.NoiseSigma > 0 {
-		noise = in.noiseFactors(fs, cfg.Seed, cfg.NoiseSigma, len(sch.execs))
-	}
-	res := foldSchedule(in.topo, plan, sch, cfg, noise, fs)
-	in.foldPool.Put(fs)
-	return res
-}
-
-// schedFor returns the cached schedule for key, or nil.
-func (in *Instance) schedFor(key string) *schedule {
-	sh := &in.scheds[shardIndex(key, schedShardCount)]
-	sh.mu.RLock()
-	sch := sh.m[key]
-	sh.mu.RUnlock()
-	return sch
-}
-
-// storeSched caches a finalized schedule under key, resetting the shard
-// (minus the pinned delta base) when full. Racing duplicate stores are
-// harmless: recording is deterministic, so both record identical
-// schedules.
-func (in *Instance) storeSched(key string, sch *schedule) {
-	sh := &in.scheds[shardIndex(key, schedShardCount)]
-	sh.mu.Lock()
-	if len(sh.m) >= schedCacheLimit/schedShardCount {
-		in.pinMu.Lock()
-		pinKey := in.schedPin
-		in.pinMu.Unlock()
-		pin := sh.m[pinKey]
-		sh.m = make(map[string]*schedule, schedCacheLimit/schedShardCount)
-		if pin != nil {
-			sh.m[pinKey] = pin
+	out := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		var noise []float64
+		if cfg.NoiseSigma > 0 {
+			noise = in.noiseFactors(fs, cfg.Seed, cfg.NoiseSigma, len(sch.execs))
 		}
+		out[i] = foldSchedule(in.topo, s.PlacementPlan, sch, cfg, noise, fs)
 	}
-	sh.m[key] = sch
-	sh.mu.Unlock()
-}
-
-// pinSched marks key's schedule as the delta base, exempt from cache
-// resets.
-func (in *Instance) pinSched(key string) {
-	in.pinMu.Lock()
-	in.schedPin = key
-	in.pinMu.Unlock()
-}
-
-// dropSchedule forgets key's cached schedule (test/bench hook: forces
-// RunKeyed back onto the recording path).
-func (in *Instance) dropSchedule(key string) {
-	sh := &in.scheds[shardIndex(key, schedShardCount)]
-	sh.mu.Lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
+	in.foldPool.Put(fs)
+	in.putState(s)
+	return out
 }
 
 // PlanPlacement returns the (possibly cached) placement plan for mp, or
@@ -379,7 +330,7 @@ func (in *Instance) PlanPlacement(mp *mapping.Mapping) (*PlacementPlan, error) {
 // planFor returns the cached placement outcome for key, planning (and
 // caching) it on a miss.
 func (in *Instance) planFor(key string, mp *mapping.Mapping) (*PlacementPlan, error) {
-	sh := &in.plans[shardIndex(key, planShardCount)]
+	sh := in.planShardFor(key)
 	sh.mu.RLock()
 	e, ok := sh.m[key]
 	sh.mu.RUnlock()

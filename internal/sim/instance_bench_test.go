@@ -1,7 +1,8 @@
 // Micro-benchmarks of the simulator hot path: one-shot Simulate (topology
 // and placement rebuilt per call) against the reusable Instance (cached
-// topology, plan cache, pooled run state), and the plan-cache hit and miss
-// paths in isolation. Allocation counts are part of the contract: the
+// topology, plan cache, pooled run state and schedule buffers), per-candidate
+// Measure calls under the driver's 7-repeat protocol, and the plan-cache
+// hit and miss paths in isolation. Allocation counts are part of the contract: the
 // search runs hundreds of thousands of simulations, so allocs/op here
 // dominate its GC load.
 package sim
@@ -60,16 +61,17 @@ func BenchmarkInstanceRun(b *testing.B) {
 // BenchmarkInstanceRunParallel is BenchmarkInstanceRun with concurrent
 // runners sharing one Instance — the worker-pool shape the driver creates.
 // Run with -cpu 1,4,8: near-flat ns/op across the -cpu values means the
-// shared caches (sharded plan/schedule maps, copy-on-publish noise tapes,
-// pooled scratch) are not serializing independent candidate evaluations;
+// shared state (sharded plan cache, copy-on-publish noise tapes, pooled
+// scratch) is not serializing independent candidate evaluations;
 // ns/op growing with -cpu is the contention regression this benchmark
 // exists to catch.
 func BenchmarkInstanceRunParallel(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	inst := New(m, g)
 	key := mp.Key()
-	// Warm the plan and schedule caches so the parallel section measures
-	// the steady-state fold path, as a mid-search worker pool would.
+	// Warm the plan cache and the noise tapes so the parallel section
+	// measures the steady-state record-and-fold path, as a mid-search
+	// worker pool would.
 	if _, err := inst.RunKeyed(key, mp, Config{NoiseSigma: 0.04, Seed: 0}); err != nil {
 		b.Fatal(err)
 	}
@@ -86,15 +88,23 @@ func BenchmarkInstanceRunParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaRunOneFlip measures the steady-state cost of one CCD
-// candidate evaluation on the incremental path, amortized over the
-// driver's 7-repeat protocol: every 7th iteration the candidate's cached
-// schedule is dropped (a fresh candidate pays classification and a
-// patch), the rest are repeat folds under the 7 derived noise seeds.
-// Like BenchmarkInstanceRun, the placement plan stays cached — planning
-// cost is identical on both paths — so the ns/op are directly
-// comparable.
-func BenchmarkDeltaRunOneFlip(b *testing.B) {
+// measureConfigs are the driver's search-phase protocol: 7 noisy repeats
+// of one candidate, folded from one recorded schedule.
+var measureConfigs = func() []Config {
+	cfgs := make([]Config, 7)
+	for i := range cfgs {
+		cfgs[i] = Config{NoiseSigma: 0.04, Seed: uint64(i)}
+	}
+	return cfgs
+}()
+
+// BenchmarkDeltaMeasureOneFlip measures the cost of one CCD candidate
+// evaluation on the incremental path: one Measure call with the 7
+// protocol configs, which classifies, patches the base schedule into
+// pooled buffers, and folds it 7 times. Like BenchmarkInstanceRun, the
+// placement plan stays cached — planning cost is identical on both paths
+// — so the ns/op of the two delta benchmarks are directly comparable.
+func BenchmarkDeltaMeasureOneFlip(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	d := NewDelta(New(m, g))
 	d.SetBase(mp)
@@ -106,25 +116,23 @@ func BenchmarkDeltaRunOneFlip(b *testing.B) {
 	}
 	// Build the base's deep record outside the timed loop: a search pays
 	// it once per accepted incumbent, not per candidate.
-	if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: 0}); err != nil {
+	if _, err := d.Measure(key, cand, measureConfigs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%7 == 0 {
-			d.dropSchedule(key)
-		}
-		if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
+		if _, err := d.Measure(key, cand, measureConfigs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDeltaRunFallback is BenchmarkDeltaRunOneFlip's counterpart for
-// a candidate beyond the flip budget: classification rejects it and every
-// 7th iteration pays a full recorded run instead of a patch.
-func BenchmarkDeltaRunFallback(b *testing.B) {
+// BenchmarkDeltaMeasureFallback is BenchmarkDeltaMeasureOneFlip's
+// counterpart for a candidate beyond the flip budget: classification
+// rejects it and each Measure pays a full structure pass instead of a
+// patch.
+func BenchmarkDeltaMeasureFallback(b *testing.B) {
 	m, g, mp := benchProblem(b)
 	d := NewDelta(New(m, g))
 	d.SetBase(mp)
@@ -137,13 +145,13 @@ func BenchmarkDeltaRunFallback(b *testing.B) {
 	if d.Classify(key, cand) {
 		b.Fatal("over-budget candidate classified incremental")
 	}
+	if _, err := d.Measure(key, cand, measureConfigs); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%7 == 0 {
-			d.dropSchedule(key)
-		}
-		if _, err := d.RunKeyed(key, cand, Config{NoiseSigma: 0.04, Seed: uint64(i % 7)}); err != nil {
+		if _, err := d.Measure(key, cand, measureConfigs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,10 +14,12 @@
 //     draws, and emitting the Trace/Explain logs. It is the only code in
 //     the package that advances simulated time.
 //
-// Every entry point records (or reuses a cached schedule) and then folds:
-// Simulate, Instance.RunKeyed, and the incremental path (delta.go), which
+// Every entry point records once and then folds once per config:
+// Simulate, Instance.Measure, and the incremental path (delta.go), which
 // splices recorded launch ranges of a base schedule with freshly recorded
-// dirty launches and folds the spliced schedule.
+// dirty launches and folds the spliced schedule. A candidate's schedule is
+// recorded into the pooled state's reusable buffers and lives only for its
+// one Measure call; only a delta base's deep record outlives it.
 package sim
 
 import (

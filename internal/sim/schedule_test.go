@@ -1,6 +1,6 @@
 // Pinned-result tests of the simulator: every bundled app's default
 // mapping must reproduce testdata/results.golden bit for bit through each
-// entry point — Simulate, a recording RunKeyed, and a folding RunKeyed —
+// entry point — Simulate, RunKeyed, and the later folds of one Measure —
 // with noise, tracing, and copy logging on and off. The incremental path
 // (delta.go) is held to the same Results by delta_test.go.
 package sim
@@ -218,11 +218,11 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestResultsMatchGolden runs every bundled app's default mapping on
-// Shepard × {1, 2, 4} under each golden config and requires Simulate, a
-// recording RunKeyed (schedule cache dropped first), and a folding
-// RunKeyed (schedule cached) to reproduce the pinned line: the makespan's
-// float bits and the digest of the whole Result. On a mismatch it prints
-// the line it computed.
+// Shepard × {1, 2, 4} under each golden config and requires Simulate,
+// RunKeyed, and positions 1 and 2 of Measure(key, mp, {noiseless, cfg,
+// cfg}) — later folds of one recorded schedule — to reproduce the pinned
+// line: the makespan's float bits and the digest of the whole Result. On a
+// mismatch it prints the line it computed.
 func TestResultsMatchGolden(t *testing.T) {
 	want := readGolden(t)
 	seen := 0
@@ -246,22 +246,18 @@ func TestResultsMatchGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
-				inst.dropSchedule(key)
-				recorded, err := inst.RunKeyed(key, mp, gc.cfg)
+				keyed, err := inst.RunKeyed(key, mp, gc.cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
-				if inst.schedFor(key) == nil {
-					t.Fatalf("%s: no schedule cached after RunKeyed", id)
-				}
-				folded, err := inst.RunKeyed(key, mp, gc.cfg)
+				measured, err := inst.Measure(key, mp, []Config{{}, gc.cfg, gc.cfg})
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
 				for _, r := range []struct {
 					path string
 					res  *Result
-				}{{"Simulate", simulated}, {"recording RunKeyed", recorded}, {"folding RunKeyed", folded}} {
+				}{{"Simulate", simulated}, {"RunKeyed", keyed}, {"Measure[1]", measured[1]}, {"Measure[2]", measured[2]}} {
 					got := fmt.Sprintf("%s %016x %s", id, math.Float64bits(r.res.MakespanSec), resultDigest(r.res))
 					if got != want[id] {
 						t.Errorf("%s: got line\n%s\nwant\n%s", r.path, got, want[id])

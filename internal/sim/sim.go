@@ -37,10 +37,11 @@
 // that advances simulated time or applies noise.
 //
 // Entry points: Instance (instance.go) is the search-facing API that
-// amortizes topology tables, placement plans, recorded schedules, and
-// scratch across the thousands of runs of one search; Simulate is the
-// one-shot API, New followed by one Run; DeltaInstance (delta.go) serves
-// small mapping changes by patching a base schedule.
+// amortizes topology tables, placement plans, and scratch across the
+// thousands of runs of one search, and measures a candidate's repeats with
+// one structure pass; Simulate is the one-shot API, New followed by one
+// Run; DeltaInstance (delta.go) serves small mapping changes by patching a
+// base schedule.
 package sim
 
 import (
@@ -202,9 +203,11 @@ type state struct {
 	// halo exchange of the real applications).
 	partial []partialInfo
 
-	// sch is the schedule being recorded. newChain marks that the next
-	// recorded op begins a new ensure* chain.
+	// sch is the schedule being recorded: buf, the state's own reusable
+	// buffers, except for a delta base's deep record. newChain marks that
+	// the next recorded op begins a new ensure* chain.
 	sch      *schedule
+	buf      schedule
 	newChain bool
 
 	// writerScratch[a] is the per-launch writer-location scratch, sized

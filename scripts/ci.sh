@@ -1,5 +1,5 @@
 #!/bin/sh
-# Static gate for the AutoMap reproduction: vet, race-enabled tests, a
+# Static gate for the AutoMap reproduction: gofmt, vet, race-enabled tests, a
 # coverage ratchet, mapcheck over every bundled application's default
 # mapping on both machine models, and smoke tests for telemetry, worker
 # determinism, checkpoint/resume, checkpoint and fleet fuzzing, and the
@@ -14,6 +14,14 @@ GO=${GO:-go}
 
 tdir=$(mktemp -d)
 trap 'rm -rf "$tdir"' EXIT
+
+echo "== gofmt"
+unformatted=$("$($GO env GOROOT)/bin/gofmt" -l .)
+if [ -n "$unformatted" ]; then
+    echo "unformatted Go files (run gofmt -w on them):"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet"
 $GO vet ./...
