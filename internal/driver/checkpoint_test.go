@@ -6,12 +6,15 @@ import (
 	"context"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"automap/internal/checkpoint"
 	"automap/internal/cluster"
+	"automap/internal/machine"
 	"automap/internal/mapping"
 	"automap/internal/search"
+	"automap/internal/sim"
 )
 
 func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
@@ -27,7 +30,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev := NewEvaluator(m, g, opts)
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 1 {
 		t.Fatalf("unbounded prefetch speculated %d candidates, want 1", len(ev.spec))
 	}
@@ -37,7 +39,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev.Suggested = 10
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated past an exhausted suggestion budget")
 	}
@@ -47,7 +48,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev.searchSec = 2
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSearchSec: 1}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated past an exhausted time budget")
 	}
@@ -58,7 +58,6 @@ func TestPrefetchSkipsWhenBudgetLeavesNoRoom(t *testing.T) {
 	ev = NewEvaluator(m, g, opts)
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{Context: ctx}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 0 {
 		t.Fatal("prefetch speculated after cancellation")
 	}
@@ -80,9 +79,76 @@ func TestPrefetchCappedByRemainingSuggestions(t *testing.T) {
 	ev.Suggested = 9 // budget leaves room for exactly one more proposal
 	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{MaxSuggestions: 10}, nil)
 	ev.Prefetch(cands)
-	ev.flushPrefetch()
 	if len(ev.spec) != 1 {
 		t.Fatalf("prefetch speculated %d candidates with room for 1", len(ev.spec))
+	}
+}
+
+// cancelRunner counts Measure calls and cancels the search's context
+// inside the first one, as a mapd drain arriving mid-batch would.
+type cancelRunner struct {
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (r *cancelRunner) Measure(key string, mp *mapping.Mapping, cfgs []sim.Config) ([]*sim.Result, error) {
+	if r.calls.Add(1) == 1 {
+		r.cancel()
+	}
+	return make([]*sim.Result, len(cfgs)), nil
+}
+
+// TestPrefetchStopsOnCancel requires a cancelled search to stop a Prefetch
+// batch within one candidate per worker: each goroutine checks the
+// context before taking its next candidate.
+func TestPrefetchStopsOnCancel(t *testing.T) {
+	forceParallel(t, 2)
+	m := cluster.Shepard(1)
+	g := driverGraph(t)
+	md := m.Model()
+	opts := quickOpts()
+	opts.Workers = 2
+
+	// 20 distinct valid candidates: proc kinds × distribution bits × the
+	// first argument's memory kind.
+	var cands []*mapping.Mapping
+	for _, k0 := range []machine.ProcKind{machine.CPU, machine.GPU} {
+		for _, k1 := range []machine.ProcKind{machine.CPU, machine.GPU} {
+			for _, dist := range []bool{true, false} {
+				for _, dist2 := range []bool{true, false} {
+					for _, mk := range md.Accessible(k0) {
+						mp := mapping.Default(g, md)
+						mp.SetProc(0, k0)
+						mp.RebuildPriorityLists(md, 0)
+						mp.SetProc(1, k1)
+						mp.RebuildPriorityLists(md, 1)
+						mp.SetDistribute(0, dist)
+						mp.SetDistribute(1, dist2)
+						mp.SetArgMem(md, 0, 0, mk)
+						if mp.Validate(g, md) == nil && len(cands) < 20 {
+							cands = append(cands, mp)
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(cands) != 20 {
+		t.Fatalf("built %d valid candidates, want 20", len(cands))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ev := NewEvaluator(m, g, opts)
+	r := &cancelRunner{cancel: cancel}
+	ev.runner = r
+	ev.bindSearch(checkpoint.Snapshot{}, search.Budget{Context: ctx}, nil)
+	ev.Prefetch(cands)
+	if n := r.calls.Load(); n < 1 || n > 2 {
+		t.Fatalf("Prefetch made %d Measure calls after cancelling in the first, want 1 or 2 (one per worker at most)", n)
+	}
+	if int64(len(ev.spec)) != r.calls.Load() {
+		t.Fatalf("kept %d results from %d Measure calls", len(ev.spec), r.calls.Load())
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"automap/internal/checkpoint"
 	"automap/internal/machine"
@@ -75,20 +76,20 @@ type Options struct {
 	// into the registry; the search algorithms emit the decision-level
 	// events. Nil disables observation at zero cost.
 	Observer *telemetry.Observer
-	// Workers bounds the number of concurrently executing simulations
-	// across repeats and speculative batch evaluation. Zero or negative
-	// means GOMAXPROCS; positive values are clamped to GOMAXPROCS, since
-	// simulations are CPU-bound and workers beyond the scheduler's
-	// parallelism can only add context-switch overhead and wasted
-	// speculation (on a single-core host, -workers 8 therefore behaves
-	// exactly like -workers 1). The search trajectory, report, and
+	// Workers bounds the number of concurrently executing simulations:
+	// the candidates of one Prefetch batch, or the repeat chunks of one
+	// synchronous measurement. Zero or negative means GOMAXPROCS; positive
+	// values are clamped to GOMAXPROCS, since simulations are CPU-bound
+	// and workers beyond the scheduler's parallelism can only add
+	// context-switch overhead (on a single-core host, -workers 8 therefore
+	// behaves exactly like -workers 1). The search trajectory, report, and
 	// telemetry stream are byte-identical at every worker count: noise
 	// seeds are derived from (Seed, repeat index) rather than execution
 	// order, and all measurement side effects commit in enumeration
 	// order.
 	Workers int
 	// WallMetrics optionally receives wall-clock operational telemetry:
-	// per-worker evaluation throughput, commit-queue wait, discarded
+	// per-worker evaluation throughput, synchronous evaluations, discarded
 	// speculation (see wallstats.go). These measure real time and
 	// scheduling, so they are deliberately kept OUT of the deterministic
 	// Observer registry — two byte-identical searches will report
@@ -164,12 +165,13 @@ func DefaultOptions() Options {
 // Evaluator executes candidate mappings on the simulated runtime. It
 // implements search.Evaluator and search.BatchEvaluator.
 //
-// Evaluate commits all observable side effects (search clock, counters,
-// database writes, telemetry) and must be called from one goroutine at a
-// time — the search loop. Prefetch may run simulations concurrently but
-// has no observable side effects; its speculative results are committed by
-// the subsequent sequential Evaluate calls, which is what keeps the
-// trajectory and event stream byte-identical at any worker count.
+// Evaluate and Prefetch must be called from one goroutine — the search
+// loop. Evaluate commits all observable side effects (search clock,
+// counters, database writes, telemetry). Prefetch measures a batch
+// concurrently and returns when the batch is done, with no observable side
+// effects; its results are committed by the subsequent sequential Evaluate
+// calls, which is what keeps the trajectory and event stream byte-identical
+// at any worker count.
 type Evaluator struct {
 	M    *machine.Machine
 	G    *taskir.Graph
@@ -185,8 +187,8 @@ type Evaluator struct {
 	evalSec   float64
 
 	// inst amortizes simulator topology tables, placement plans, and
-	// run scratch across every simulation of the search; sem bounds all
-	// concurrently executing Measure calls to `workers`. delta wraps inst
+	// run scratch across every simulation of the search; at most
+	// `workers` Measure calls execute at once. delta wraps inst
 	// with incremental re-simulation against the search incumbent
 	// (sim.DeltaInstance); runner is whichever of the two measurements go
 	// through (Options.DisableIncremental selects inst). delta is always
@@ -197,7 +199,6 @@ type Evaluator struct {
 	inst    *sim.Instance
 	delta   *sim.DeltaInstance
 	runner  simRunner
-	sem     chan struct{}
 	workers int
 	cfgs    []sim.Config
 
@@ -205,7 +206,8 @@ type Evaluator struct {
 	// full path (guarded by mu): how many committed candidate
 	// measurements classified as bounded deltas against the incumbent at
 	// their commit point. Deterministic — unlike "which path actually
-	// served each speculative run", which can depend on prefetch timing.
+	// served each speculative run", which depends on the incumbent when
+	// the batch was measured.
 	incEvals int64
 	fbEvals  int64
 
@@ -233,34 +235,17 @@ type Evaluator struct {
 	budget    search.Budget
 
 	// mu guards the sequential-commit state above (byKey, counters,
-	// clocks). It orders results; it is NEVER held across a simulation —
-	// Evaluate measures (or waits for a speculative result) unlocked and
-	// re-acquires only to commit, so metric scrapes and clock reads stay
-	// responsive while candidates execute, and misuse of the commit
-	// contract shows up under -race instead of as silent corruption.
+	// clocks) against readers on other goroutines (metric scrapes, clock
+	// reads). It orders results; it is NEVER held across a simulation —
+	// Evaluate measures unlocked and re-acquires only to commit, so those
+	// readers stay responsive while candidates execute, and misuse of the
+	// commit contract shows up under -race instead of as silent
+	// corruption.
 	mu sync.Mutex
-	// spec holds speculative per-repeat results produced by Prefetch,
-	// keyed by mapping key, awaiting commit by Evaluate; inflight holds
-	// the keys being measured right now — the jobs workers have claimed,
-	// and the search loop's own claim on the key it is evaluating (see
-	// waitSpec). Both are guarded by specMu (lock order is pfMu before
-	// specMu).
-	specMu   sync.Mutex
-	spec     map[string][]*sim.Result
-	inflight map[string]*prefetchJob
-	// The prefetch pipeline (guarded by pfMu): Prefetch enqueues batches
-	// and returns immediately; up to `workers` pipeline goroutines drain
-	// the queue in order. A new batch replaces the queue — CCD re-batches
-	// from the new incumbent after every accept, superseding the stale
-	// candidates — and pfActive tracks live workers so re-batching never
-	// over-spawns. pfWG lets drainPrefetch wait the pipeline out.
-	// freeSlots recycles worker slot indices so the per-worker wall
-	// telemetry keys stay in [0, workers).
-	pfMu      sync.Mutex
-	pfQueue   []*prefetchJob
-	pfActive  int
-	freeSlots []int
-	pfWG      sync.WaitGroup
+	// spec holds the per-repeat results Prefetch measured, keyed by
+	// mapping key, until Evaluate commits them or the search phase ends.
+	// Only the search goroutine touches it, so it needs no lock.
+	spec map[string][]*sim.Result
 
 	// Suggested counts Evaluate calls; Evaluated counts distinct
 	// mappings actually measured (Section 5.3's accounting).
@@ -327,27 +312,18 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 	if opts.DisableIncremental {
 		runner = inst
 	}
-	// Slot stack for per-worker wall telemetry; pushed in reverse so the
-	// first spawned worker pops slot 0.
-	freeSlots := make([]int, 0, workers)
-	for i := workers - 1; i >= 0; i-- {
-		freeSlots = append(freeSlots, i)
-	}
 	return &Evaluator{
 		M: m, G: g, Opts: opts,
-		DB:        db,
-		byKey:     make(map[string]*mapping.Mapping),
-		model:     m.Model(),
-		inst:      inst,
-		delta:     delta,
-		runner:    runner,
-		sem:       make(chan struct{}, workers),
-		workers:   workers,
-		cfgs:      runConfigs(max(opts.Repeats, 1), opts.NoiseSigma, opts.Seed),
-		freeSlots: freeSlots,
-		spec:      make(map[string][]*sim.Result),
-		inflight:  make(map[string]*prefetchJob),
-		replay:    replay,
+		DB:      db,
+		byKey:   make(map[string]*mapping.Mapping),
+		model:   m.Model(),
+		inst:    inst,
+		delta:   delta,
+		runner:  runner,
+		workers: workers,
+		cfgs:    runConfigs(max(opts.Repeats, 1), opts.NoiseSigma, opts.Seed),
+		spec:    make(map[string][]*sim.Result),
+		replay:  replay,
 
 		mCacheHits:   obs.Counter("search.eval.cache_hits"),
 		mFailures:    obs.Counter("search.eval.failures"),
@@ -371,9 +347,9 @@ func NewEvaluator(m *machine.Machine, g *taskir.Graph, opts Options) *Evaluator 
 }
 
 // specCacheLimit bounds the speculative-result cache; entries are normally
-// consumed immediately by Evaluate, so the cap only matters for sweeps that
-// re-batch heavily, and dropping the cache is always safe (results are
-// reproducible from the key-derived seeds).
+// committed by the Evaluate calls that follow their batch, so the cap only
+// matters for sweeps that re-batch heavily, and dropping the cache is
+// always safe (results are reproducible from the key-derived seeds).
 const specCacheLimit = 1024
 
 // Evaluate measures mp with Opts.Repeats noisy runs (or returns the cached
@@ -415,11 +391,13 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// commits; it only keeps clock/metric readers and checkpoint writers
 	// responsive while a candidate executes.
 	e.mu.Unlock()
-	results := e.waitSpec(key)
-	if results == nil {
+	results, ok := e.spec[key]
+	if ok {
+		delete(e.spec, key)
+	} else {
 		e.wall.syncEval()
 		// A failed run is a nil result, which commits as a failure.
-		results, _ = measureRuns(e.runner, key, mp, e.cfgs, e.sem)
+		results, _ = measureRuns(e.runner, key, mp, e.cfgs, e.workers)
 	}
 	e.mu.Lock()
 	verdict := e.commitRuns(key, mp, toRuns(results, e.Opts.objective()))
@@ -427,11 +405,6 @@ func (e *Evaluator) Evaluate(mp *mapping.Mapping) search.Evaluation {
 	// replayed commits re-cover ground an earlier snapshot already holds.
 	e.maybeCheckpointLocked()
 	e.mu.Unlock()
-	// The key is in the DB now, which keeps speculation off it; release
-	// the claim waitSpec took.
-	e.specMu.Lock()
-	delete(e.inflight, key)
-	e.specMu.Unlock()
 	return verdict
 }
 
@@ -470,8 +443,8 @@ func (e *Evaluator) commitRuns(key string, mp *mapping.Mapping, runs []checkpoin
 	// Classification is pure and the commit sequence (including the
 	// SetDeltaBase calls interleaved by the search) is deterministic, so
 	// these counters — unlike "which path physically served a speculative
-	// run" — are identical across worker counts, prefetch timing, resume,
-	// and Options.DisableIncremental.
+	// run" — are identical across worker counts, batching, resume, and
+	// Options.DisableIncremental.
 	if e.delta.Classify(key, mp) {
 		e.incEvals++
 		e.mIncEvals.Add(1)
@@ -628,40 +601,22 @@ func (e *Evaluator) CheckpointErr() error {
 	return e.ckptErr
 }
 
-// prefetchJob is one queued speculative measurement. done is closed once
-// the job's results are in the speculative cache, so an Evaluate that
-// arrives while the job is in flight can wait for it instead of
-// re-measuring.
-type prefetchJob struct {
-	key  string
-	mp   *mapping.Mapping
-	done chan struct{}
-}
-
-// searchClaim is the search loop's entry in inflight for the key it is
-// evaluating. Nothing waits on it: only the search loop would, and it
-// releases the claim before its next Evaluate.
-var searchClaim = &prefetchJob{}
-
-// Prefetch speculatively measures candidates concurrently, bounded by the
-// worker pool. It has no observable side effects: no counters move, no
-// search time is charged, nothing is recorded or emitted. The results wait
-// in the speculative cache for the sequential Evaluate calls that commit
-// them in enumeration order, so speculation can only change wall-clock
-// time, never the trajectory. With a single worker, speculation cannot
-// overlap anything and wasted speculative runs would cost real time, so
-// Prefetch is a no-op.
+// Prefetch measures a batch of candidates concurrently and keeps the
+// results for the Evaluate calls that follow, which commit them in
+// enumeration order. It has no observable side effects: no counters move,
+// no search time is charged, nothing is recorded or emitted, so it can
+// change wall-clock time but never the trajectory. With a single worker
+// there is nothing to overlap, and Prefetch is a no-op.
 //
-// Prefetch is asynchronous: it replaces the pipeline's queue with this
-// batch and returns without waiting. Pipeline workers (at most `workers`)
-// claim jobs in batch order and run them through the shared simulation
-// semaphore; the sequential Evaluate calls consume finished results,
-// wait for in-flight ones, and measure unclaimed ones synchronously —
-// so the search loop overlaps its commit work with speculation instead
-// of stalling behind the whole batch, and an accepted improvement (which
-// re-batches from the new incumbent) wastes only the jobs already in
-// flight or published, not a full batch of stale measurements
-// (driver.prefetch.discarded counts them).
+// Prefetch blocks until the batch is measured. It skips repeated, committed,
+// already measured, replayed, and invalid candidates, and stops at the
+// budget (below). At most `workers` goroutines then take the remaining
+// candidates in batch order, one Measure call each. Each goroutine checks
+// for cancellation before every candidate, so a cancelled search (a mapd
+// drain) stops within one candidate per worker. A kept result stays until
+// Evaluate commits it or the search phase ends; driver.prefetch.discarded
+// counts the ones never committed, such as the rest of a batch after an
+// accept (CCD rebuilds those candidates from the new incumbent).
 func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	if e.workers <= 1 {
 		return
@@ -669,26 +624,23 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 	// Budget gate: speculation past the point where the search will stop
 	// is pure waste — with a cancelled context or an exhausted time
 	// budget, none of the speculative results can ever commit. Bound the
-	// batch so budget overshoot is limited to work already in flight
-	// rather than a whole speculative sweep. (Skipping speculation can
+	// batch by what the budget still admits. (Skipping speculation can
 	// never change the trajectory: Prefetch has no observable effects.)
+	// The clocks and counters are read without e.mu: only the search
+	// goroutine writes them, and Prefetch runs on it.
 	if e.budget.ContextStop() != "" {
 		return
 	}
 	limit := len(cands)
-	e.mu.Lock()
-	searchSec, evalSec := e.searchSec, e.evalSec
-	suggested, evaluated := e.Suggested, e.Evaluated
-	e.mu.Unlock()
 	if max := e.budget.MaxSearchSec; max > 0 {
-		remSec := max - searchSec
+		remSec := max - e.searchSec
 		if remSec <= 0 {
 			return
 		}
 		// Cap by how many average-cost evaluations still fit; +1 because
 		// the evaluation that crosses the budget line still commits.
-		if evaluated > 0 {
-			if avg := evalSec / float64(evaluated); avg > 0 {
+		if e.Evaluated > 0 {
+			if avg := e.evalSec / float64(e.Evaluated); avg > 0 {
 				if n := int(remSec/avg) + 1; n < limit {
 					limit = n
 				}
@@ -696,7 +648,7 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		}
 	}
 	if max := e.budget.MaxSuggestions; max > 0 {
-		rem := max - suggested
+		rem := max - e.Suggested
 		if rem <= 0 {
 			return
 		}
@@ -704,7 +656,12 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 			limit = rem
 		}
 	}
-	jobs := make([]*prefetchJob, 0, len(cands))
+	type job struct {
+		key     string
+		mp      *mapping.Mapping
+		results []*sim.Result
+	}
+	jobs := make([]job, 0, len(cands))
 	seen := make(map[string]bool, len(cands))
 	for _, mp := range cands {
 		if len(jobs) >= limit {
@@ -723,167 +680,55 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		if _, ok := e.replay[key]; ok {
 			continue
 		}
-		e.specMu.Lock()
-		_, have := e.spec[key]
-		if !have {
-			_, have = e.inflight[key]
-		}
-		e.specMu.Unlock()
-		if have {
+		if _, ok := e.spec[key]; ok {
 			continue
 		}
 		if mp.Validate(e.G, e.model) != nil {
 			continue
 		}
-		jobs = append(jobs, &prefetchJob{key: key, mp: mp, done: make(chan struct{})})
+		jobs = append(jobs, job{key: key, mp: mp})
 	}
-	// Replace the queue (stale candidates are superseded) and top the
-	// worker pool up to min(workers, queue length). Dropped jobs were
-	// never claimed, so nothing waits on their done channels. Each worker
-	// takes a recycled slot index for its per-worker wall telemetry.
-	e.pfMu.Lock()
-	e.pfQueue = jobs
-	want := len(jobs)
-	if want > e.workers {
-		want = e.workers
-	}
-	if spawn := want - e.pfActive; spawn > 0 {
-		e.pfActive += spawn
-		e.pfWG.Add(spawn)
-		for i := 0; i < spawn; i++ {
-			slot := -1
-			if n := len(e.freeSlots); n > 0 {
-				slot = e.freeSlots[n-1]
-				e.freeSlots = e.freeSlots[:n-1]
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range min(e.workers, len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e.budget.ContextStop() == "" {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				start := e.wall.now()
+				results, err := e.runner.Measure(jobs[i].key, jobs[i].mp, e.cfgs)
+				if err != nil {
+					// Placement failed: every run failed, and nil results
+					// commit as failures.
+					results = make([]*sim.Result, len(e.cfgs))
+				}
+				e.wall.workerEval(w, e.wall.now()-start)
+				jobs[i].results = results
 			}
-			go func(wg *sync.WaitGroup, slot int) {
-				defer wg.Done()
-				e.prefetchWorker(slot)
-			}(&e.pfWG, slot)
-		}
+		}()
 	}
-	e.pfMu.Unlock()
-}
-
-// claimJob pops the next queue entry that is neither published, in
-// flight, nor already committed to the DB, registering it in inflight. A
-// nil return retires the calling worker (the decrement and
-// the slot recycle happen here, under pfMu, so Prefetch's spawn
-// accounting and worker exits never race).
-func (e *Evaluator) claimJob(slot int) *prefetchJob {
-	e.pfMu.Lock()
-	defer e.pfMu.Unlock()
-	for len(e.pfQueue) > 0 {
-		j := e.pfQueue[0]
-		e.pfQueue = e.pfQueue[1:]
-		e.specMu.Lock()
-		_, have := e.spec[j.key]
-		if !have {
-			_, have = e.inflight[j.key]
+	wg.Wait()
+	for _, j := range jobs {
+		if j.results == nil {
+			continue // cancelled before its turn
 		}
-		if !have {
-			// Evaluate records a key in the DB before releasing its
-			// claim, so a released claim is always seen here.
-			_, have = e.DB.Lookup(j.key)
-		}
-		if have {
-			e.specMu.Unlock()
-			continue
-		}
-		e.inflight[j.key] = j
-		e.specMu.Unlock()
-		return j
-	}
-	e.pfActive--
-	if slot >= 0 {
-		e.freeSlots = append(e.freeSlots, slot)
-	}
-	return nil
-}
-
-// prefetchWorker drains the prefetch queue: measure, publish to the
-// speculative cache, signal waiters, repeat until the queue is empty.
-// Callers run it on a goroutine registered with pfWG (Done is the
-// spawner's deferred call).
-//
-// A job is one Measure call under the shared semaphore — one structure
-// pass folded once per repeat: the worker pool itself is the parallelism,
-// `workers` candidates measuring concurrently, so splitting a job's
-// repeats across goroutines would only repeat its structure pass.
-func (e *Evaluator) prefetchWorker(slot int) {
-	for {
-		j := e.claimJob(slot)
-		if j == nil {
-			return
-		}
-		start := e.wall.now()
-		e.sem <- struct{}{}
-		results, err := e.runner.Measure(j.key, j.mp, e.cfgs)
-		<-e.sem
-		if err != nil {
-			// Placement failed: every run failed, and nil results commit
-			// as failures.
-			results = make([]*sim.Result, len(e.cfgs))
-		}
-		e.wall.workerEval(slot, e.wall.now()-start)
-		e.specMu.Lock()
 		if len(e.spec) >= specCacheLimit {
 			e.wall.discard(len(e.spec))
-			e.spec = make(map[string][]*sim.Result)
+			clear(e.spec)
 		}
-		e.spec[j.key] = results
-		delete(e.inflight, j.key)
-		e.specMu.Unlock()
-		close(j.done)
+		e.spec[j.key] = j.results
 	}
 }
 
-// drainPrefetch empties the queue, waits for in-flight speculative work to
-// finish, and drops the published results no Evaluate committed.
-// SearchFromSpace calls it when the search phase ends so the final phase
-// never races pipeline workers.
-func (e *Evaluator) drainPrefetch() {
-	e.pfMu.Lock()
-	e.pfQueue = nil
-	e.pfMu.Unlock()
-	e.pfWG.Wait()
-	e.specMu.Lock()
+// discardSpec drops the kept Prefetch results no Evaluate committed.
+// SearchFromSpace calls it when the search phase ends.
+func (e *Evaluator) discardSpec() {
 	e.wall.discard(len(e.spec))
 	clear(e.spec)
-	e.specMu.Unlock()
-}
-
-// flushPrefetch waits for the pipeline to finish every queued job (test
-// hook; drainPrefetch instead abandons jobs no worker has claimed yet).
-func (e *Evaluator) flushPrefetch() { e.pfWG.Wait() }
-
-// waitSpec consumes the speculative measurement for key: immediately if
-// it is already in the cache, after a wait if a pipeline worker has it in
-// flight, and not at all (nil) if speculation never claimed it or the
-// cache was reset before the commit got to it. Either way it leaves the
-// search loop's claim on key in inflight, so no worker measures the key
-// again before Evaluate has committed it to the DB and released the claim.
-// The wait is deadlock-free: workers publish without touching the
-// evaluator's commit lock.
-func (e *Evaluator) waitSpec(key string) []*sim.Result {
-	e.specMu.Lock()
-	defer e.specMu.Unlock()
-	for {
-		// Check and claim in one critical section: a worker must never
-		// claim the key between the two.
-		j := e.inflight[key]
-		if j == nil {
-			e.inflight[key] = searchClaim
-			results := e.spec[key]
-			delete(e.spec, key)
-			return results
-		}
-		e.specMu.Unlock()
-		start := e.wall.now()
-		<-j.done
-		e.wall.commitWaitSince(start)
-		e.specMu.Lock()
-	}
 }
 
 // SearchTimeSec returns the simulated search time consumed so far.
@@ -1100,9 +945,8 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	searchSpan := obs.StartSpan(rootSpan, "search_phase", "", 0)
 	prob.Span = searchSpan
 	out := alg.Search(prob, searchEv, budget)
-	// Retire the speculative pipeline before anything else reads or
-	// mutates post-search state.
-	ev.drainPrefetch()
+	// Drop the speculative results the search phase never committed.
+	ev.discardSpec()
 
 	// A cancellation that lands after the algorithm's last budget check
 	// still counts: the user asked the run to stop, so skip the final
@@ -1202,7 +1046,7 @@ func SearchFromSpace(m *machine.Machine, g *taskir.Graph, sp *profile.Space, alg
 	var finalSec float64
 	finalCfgs := runConfigs(opts.FinalRepeats, opts.NoiseSigma, finalBase)
 	finalMeasure := func(mp *mapping.Mapping) ([]float64, bool) {
-		results, _ := measureRuns(ev.runner, mp.Key(), mp, finalCfgs, ev.sem) // failed runs are nil
+		results, _ := measureRuns(ev.runner, mp.Key(), mp, finalCfgs, ev.workers) // failed runs are nil
 		times := make([]float64, 0, len(results))
 		ok := true
 		for _, r := range results {
@@ -1269,8 +1113,7 @@ func MeasureMapping(m *machine.Machine, g *taskir.Graph, mp *mapping.Mapping, re
 		repeats = 1
 	}
 	inst := sim.New(m, g)
-	sem := make(chan struct{}, resolveWorkers(0))
-	results, err := measureRuns(inst, mp.Key(), mp, runConfigs(repeats, noise, seed), sem)
+	results, err := measureRuns(inst, mp.Key(), mp, runConfigs(repeats, noise, seed), resolveWorkers(0))
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,10 @@
 // The shared measurement path: every repeated-run protocol in the driver —
 // candidate evaluation (7 repeats), final re-measurement (31 repeats), and
-// baseline MeasureMapping — funnels through measureRuns, which splits the
-// repeats into contiguous chunks measured concurrently under a worker
-// semaphore, one simulator Measure call (one structure pass, one fold per
-// repeat) per chunk, with order-independent noise seeds.
+// baseline MeasureMapping — is simulator Measure calls (one structure pass,
+// one fold per repeat) with order-independent noise seeds. A Prefetch batch
+// measures each candidate with one call; measureRuns measures one mapping
+// by splitting its repeats into at most `workers` contiguous chunks,
+// measured concurrently, one call per chunk.
 //
 // Seed derivation: each run's seed is a hash of (base seed, repeat index).
 // This replaced a sequential runSeed++ counter, whose seeds depended on how
@@ -51,11 +52,11 @@ func runSeed(base uint64, repeat int) uint64 {
 // non-positive means GOMAXPROCS, and positive values are clamped to
 // GOMAXPROCS. Simulations are pure CPU work, so workers beyond the
 // scheduler's parallelism cannot add throughput — they only add context
-// switches and, worse, wasted speculation: on a single-core host an
-// unclamped `-workers 8` made every search SLOWER than `-workers 1`
-// because eight prefetch goroutines took turns burning the one core on
-// candidates that re-batching then threw away. The clamp makes
-// `-workers N` mean "up to N", never "pretend you have N cores".
+// switches: a Prefetch batch or a chunked measurement spreads over
+// `workers` goroutines, and on a single-core host an unclamped
+// `-workers 8` would have eight of them take turns on the one core. The
+// clamp makes `-workers N` mean "up to N", never "pretend you have N
+// cores".
 func resolveWorkers(w int) int {
 	max := runtime.GOMAXPROCS(0)
 	if w <= 0 || w > max {
@@ -85,22 +86,22 @@ func runConfigs(repeats int, noise float64, base uint64) []sim.Config {
 }
 
 // measureRuns measures mp (whose canonical key is key) under cfgs. The
-// configs are split into at most cap(sem) contiguous chunks, measured
-// concurrently by one Measure call each under the semaphore sem: a chunk
-// pays one structure pass, so fewer chunks save work and more chunks use
-// idle workers. Results are returned in config order and are deterministic
-// regardless of scheduling; a run that failed has a nil result, and the
-// first chunk's error in config order is returned (placement failure is a
-// function of the mapping, so every chunk fails alike).
-func measureRuns(inst simRunner, key string, mp *mapping.Mapping, cfgs []sim.Config, sem chan struct{}) ([]*sim.Result, error) {
+// configs are split into at most `workers` contiguous chunks, measured
+// concurrently by one Measure call each: a chunk pays one structure pass,
+// so fewer chunks save work and more chunks use idle workers. Its callers
+// (the search loop, the final phase, MeasureMapping) are sequential, so
+// nothing else measures meanwhile. Results are returned in config order
+// and are deterministic regardless of scheduling; a run that failed has a
+// nil result, and the first chunk's error in config order is returned
+// (placement failure is a function of the mapping, so every chunk fails
+// alike).
+func measureRuns(inst simRunner, key string, mp *mapping.Mapping, cfgs []sim.Config, workers int) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(cfgs))
-	n := min(cap(sem), len(cfgs))
+	n := min(workers, len(cfgs))
 	errs := make([]error, n)
 	run := func(c int) {
 		lo, hi := c*len(cfgs)/n, (c+1)*len(cfgs)/n
-		sem <- struct{}{}
 		res, err := inst.Measure(key, mp, cfgs[lo:hi])
-		<-sem
 		copy(results[lo:hi], res)
 		errs[c] = err
 	}

@@ -43,9 +43,9 @@ func (c *countingRunner) Measure(key string, mp *mapping.Mapping, cfgs []sim.Con
 // runner and requires every (candidate, seed) run to be simulated at most
 // once: each committed candidate's repeats exactly once, Evaluated ×
 // Repeats in all, and every other run a speculative measurement that
-// driver.prefetch.discarded accounts for. A prefetch worker measuring a
-// key the search loop is already measuring (or has just committed) shows
-// up as a pair counted twice.
+// driver.prefetch.discarded accounts for. A Prefetch measuring a key that
+// is already measured or committed, or a speculative result dropped before
+// its key is suggested again, shows up as a pair counted twice.
 func TestEachRepeatMeasuredOnce(t *testing.T) {
 	for _, ac := range []struct {
 		name, size string
@@ -83,7 +83,7 @@ func TestEachRepeatMeasuredOnce(t *testing.T) {
 					Start: start, Seed: opts.Seed,
 				}
 				search.NewCCD().Search(prob, ev, search.Budget{})
-				ev.drainPrefetch()
+				ev.discardSpec()
 
 				for rk, n := range cr.runs {
 					if n > 1 {

@@ -25,11 +25,12 @@ func forceParallel(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestConcurrentPrefetchAndDB hammers the evaluator's Prefetch path and the
-// profiles database from many goroutines at once while Evaluate commits
-// sequentially — the scenario the worker pool creates. Run under -race this
-// pins the locking of profile.DB, the speculative cache, and the simulator
-// instance's plan cache and state pool.
+// TestConcurrentPrefetchAndDB runs the search goroutine's Prefetch batches
+// (eight concurrent Measure calls on the evaluator's shared sim.Instance)
+// and its sequential commit stream while other goroutines read the
+// profiles database — the scenario a metrics scrape during a search
+// creates. Run under -race this pins the locking of profile.DB and of the
+// simulator instance's plan cache and state pool.
 func TestConcurrentPrefetchAndDB(t *testing.T) {
 	forceParallel(t, 8)
 	m := cluster.Shepard(2)
@@ -55,17 +56,6 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	// Concurrent speculative batches over overlapping candidate sets.
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			for r := 0; r < 10; r++ {
-				batch := append([]*mapping.Mapping(nil), cands[off%len(cands):]...)
-				ev.Prefetch(batch)
-			}
-		}(i)
-	}
 	// Concurrent readers of the shared database.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -82,9 +72,11 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 			}
 		}()
 	}
-	// The sequential commit stream (the search goroutine).
+	// The search goroutine: batches over overlapping candidate sets, each
+	// followed by the sequential commits, the CCD pattern.
 	for r := 0; r < 5; r++ {
-		for _, mp := range cands {
+		for i, mp := range cands {
+			ev.Prefetch(cands[i:])
 			ev.Evaluate(mp)
 		}
 	}
@@ -93,10 +85,13 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 	if ev.Evaluated != len(cands) {
 		t.Fatalf("Evaluated = %d, want %d distinct", ev.Evaluated, len(cands))
 	}
-	// Every candidate must be recorded exactly once despite the concurrent
-	// speculation (Evaluate committed each key a single time).
+	// Every candidate must be recorded exactly once (Evaluate committed
+	// each key a single time), and every speculative result committed.
 	if ev.DB.Len() != len(cands) {
 		t.Fatalf("DB.Len() = %d, want %d", ev.DB.Len(), len(cands))
+	}
+	if len(ev.spec) != 0 {
+		t.Fatalf("%d speculative results left uncommitted", len(ev.spec))
 	}
 	for _, mp := range cands {
 		s, ok := ev.DB.Lookup(mp.Key())
@@ -110,12 +105,12 @@ func TestConcurrentPrefetchAndDB(t *testing.T) {
 }
 
 // TestConcurrentBasePublish pins the incumbent/delta-base publish path:
-// the search loop accepts improvements (SetDeltaBase) while eight prefetch
-// workers are still evaluating candidates against the OLD base — the exact
-// moment publish-by-pointer must protect. Under -race this catches any
-// mutation of a base snapshot a worker may still be reading, and the final
-// database must be byte-identical to the same trajectory at workers=1
-// (speculation and base swaps may change wall-clock time only).
+// the search loop accepts improvements (SetDeltaBase) between batches that
+// eight Prefetch goroutines measured against the OLD base, and commits
+// those results afterwards. Under -race this catches any mutation of a
+// base snapshot a measurement read, and the final database must be
+// byte-identical to the same trajectory at workers=1 (speculation and
+// base swaps may change wall-clock time only).
 func TestConcurrentBasePublish(t *testing.T) {
 	forceParallel(t, 8)
 	m := cluster.Shepard(2)
@@ -148,18 +143,17 @@ func TestConcurrentBasePublish(t *testing.T) {
 		best := math.Inf(1)
 		for i, mp := range cands {
 			// Re-batch from the remaining pool before every commit —
-			// the CCD pattern that supersedes in-flight speculation on
-			// each accept.
+			// the CCD pattern after each accept.
 			ev.Prefetch(cands[i:])
 			v := ev.Evaluate(mp)
 			if !v.Failed && v.MeanSec < best {
 				best = v.MeanSec
-				// Publish a new incumbent while workers may still be
-				// folding deltas against the old one.
+				// Publish a new incumbent while results measured
+				// against the old one wait in the speculative cache.
 				ev.SetDeltaBase(mp)
 			}
 		}
-		ev.drainPrefetch()
+		ev.discardSpec()
 		return ev.DB
 	}
 

@@ -1,11 +1,11 @@
-// Wall-clock operational telemetry for the parallel evaluation pipeline.
+// Wall-clock operational telemetry for parallel batch evaluation.
 //
 // Everything in this file measures REAL time and scheduling — per-worker
-// throughput, how long the sequential commit path blocked on an in-flight
-// speculative measurement, how much speculation was thrown away — so none
-// of it may enter the deterministic Observer registry: two byte-identical
-// searches on different machines (or the same machine twice) will report
-// different wall numbers. Options.WallMetrics routes these instruments to
+// throughput, how many candidates the search loop measured itself, how
+// much speculation was thrown away — so none of it may enter the
+// deterministic Observer registry: two byte-identical searches on
+// different machines (or the same machine twice) will report different
+// wall numbers. Options.WallMetrics routes these instruments to
 // a separate registry (the mapd daemon passes its serve registry, which
 // backs /metrics and `mapstat top`); without one, wallStats is nil and
 // every method is a nil-receiver no-op.
@@ -23,34 +23,25 @@ import (
 	"automap/internal/telemetry"
 )
 
-// commitWaitBuckets are the histogram bounds for how long Evaluate blocked
-// waiting on an in-flight speculative measurement: sub-millisecond when the
-// pipeline is ahead of the search, seconds when a cold candidate stalls it.
-var commitWaitBuckets = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10}
-
 // wallStats carries the wall-clock instruments. A nil *wallStats (no
 // Options.WallMetrics) disables the whole thing at the cost of a nil check.
 type wallStats struct {
 	clock telemetry.Clock
 
-	// commitWait observes seconds Evaluate spent blocked on a prefetch
-	// job's done channel (driver.commit.wait_sec).
-	commitWait *telemetry.Histogram
-	// syncEvals counts candidates the search loop had to measure
-	// synchronously because speculation never claimed them
-	// (driver.commit.sync_evals) — the "pipeline missed" indicator.
+	// syncEvals counts candidates the search loop measured itself
+	// because no Prefetch batch had measured them
+	// (driver.commit.sync_evals) — the "speculation missed" indicator.
 	syncEvals *telemetry.Counter
-	// discarded counts speculative measurements published to the
-	// speculative cache and never committed: dropped by the cache's size
-	// reset or left over when the search phase ends
-	// (driver.prefetch.discarded).
+	// discarded counts Prefetch results kept in the speculative cache
+	// and never committed: dropped by the cache's size reset or left over
+	// when the search phase ends (driver.prefetch.discarded).
 	discarded *telemetry.Counter
 
-	// Per worker slot: evaluations published and busy seconds
-	// accumulated, as driver.worker.evals{worker="N"} counters and
-	// driver.worker.busy_sec{worker="N"} gauges. Slot indices are
-	// recycled (Evaluator.freeSlots), so the series count is the worker
-	// pool width, not the goroutine count.
+	// Per worker: Prefetch measurements and busy seconds accumulated, as
+	// driver.worker.evals{worker="N"} counters and
+	// driver.worker.busy_sec{worker="N"} gauges. N is the goroutine's
+	// index within its Prefetch call, so the series count is the worker
+	// count.
 	workerEvals []*telemetry.Counter
 	workerBusy  []*telemetry.Gauge
 }
@@ -62,10 +53,9 @@ func newWallStats(reg *telemetry.Registry, workers int) *wallStats {
 		return nil
 	}
 	w := &wallStats{
-		clock:      telemetry.WallClock(),
-		commitWait: reg.Histogram("driver.commit.wait_sec", commitWaitBuckets),
-		syncEvals:  reg.Counter("driver.commit.sync_evals"),
-		discarded:  reg.Counter("driver.prefetch.discarded"),
+		clock:     telemetry.WallClock(),
+		syncEvals: reg.Counter("driver.commit.sync_evals"),
+		discarded: reg.Counter("driver.prefetch.discarded"),
 	}
 	for i := 0; i < workers; i++ {
 		w.workerEvals = append(w.workerEvals, reg.Counter(fmt.Sprintf(`driver.worker.evals{worker="%d"}`, i)))
@@ -99,21 +89,12 @@ func (w *wallStats) discard(n int) {
 	w.discarded.Add(int64(n))
 }
 
-// commitWaitSince observes the time since start (a now() reading) that the
-// commit path spent blocked on an in-flight speculative measurement.
-func (w *wallStats) commitWaitSince(start float64) {
-	if w == nil {
+// workerEval records one Prefetch measurement by worker index, with the
+// busy seconds it took.
+func (w *wallStats) workerEval(worker int, busySec float64) {
+	if w == nil || worker >= len(w.workerEvals) {
 		return
 	}
-	w.commitWait.Observe(w.clock() - start)
-}
-
-// workerEval records one published speculative measurement by worker slot,
-// with the busy seconds it took.
-func (w *wallStats) workerEval(slot int, busySec float64) {
-	if w == nil || slot < 0 || slot >= len(w.workerEvals) {
-		return
-	}
-	w.workerEvals[slot].Add(1)
-	w.workerBusy[slot].Add(busySec)
+	w.workerEvals[worker].Add(1)
+	w.workerBusy[worker].Add(busySec)
 }

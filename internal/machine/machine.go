@@ -433,7 +433,6 @@ func (m *Machine) Model() *Model {
 		}
 	}
 	sort.Slice(md.MemKinds, func(i, j int) bool { return md.MemKinds[i] < md.MemKinds[j] })
-	md.accessible = make(map[ProcKind][]MemKind)
 	//mapvet:unordered each key is handled independently and its list is sorted before assignment
 	for pk, mems := range kindMems {
 		var ks []MemKind
@@ -461,16 +460,22 @@ type Model struct {
 	ProcKinds []ProcKind
 	MemKinds  []MemKind
 
-	accessible map[ProcKind][]MemKind
+	// accessible is indexed by ProcKind: CanAccess runs for every
+	// candidate, and an array index costs less than a map hash.
+	accessible [NumProcKinds][]MemKind
 }
 
 // NewModel builds a model directly from a kind-level accessibility relation.
-// The map is copied.
+// The map is copied; kinds outside [0, NumProcKinds) are not processor
+// kinds and are dropped.
 func NewModel(name string, accessible map[ProcKind][]MemKind) *Model {
-	md := &Model{Name: name, accessible: make(map[ProcKind][]MemKind, len(accessible))}
+	md := &Model{Name: name}
 	memSeen := make(map[MemKind]bool)
 	//mapvet:unordered every collected slice (ProcKinds, MemKinds, each accessibility list) is sorted before the model escapes
 	for pk, mks := range accessible {
+		if int(pk) >= NumProcKinds {
+			continue
+		}
 		md.ProcKinds = append(md.ProcKinds, pk)
 		cp := append([]MemKind(nil), mks...)
 		// Sort the copied list: Accessible documents a deterministic
@@ -492,15 +497,18 @@ func NewModel(name string, accessible map[ProcKind][]MemKind) *Model {
 }
 
 // Accessible returns the memory kinds addressable by processor kind pk, in a
-// deterministic order.
+// deterministic order; nil for a kind outside [0, NumProcKinds).
 func (md *Model) Accessible(pk ProcKind) []MemKind {
+	if int(pk) >= NumProcKinds {
+		return nil
+	}
 	return md.accessible[pk]
 }
 
 // CanAccess reports whether processor kind pk can address memory kind mk.
 // This is the paper's correctness constraint (1) in Section 4.2.
 func (md *Model) CanAccess(pk ProcKind, mk MemKind) bool {
-	for _, k := range md.accessible[pk] {
+	for _, k := range md.Accessible(pk) {
 		if k == mk {
 			return true
 		}

@@ -156,6 +156,11 @@ func TestModelAccessibility(t *testing.T) {
 	if !md.HasProcKind(GPU) || md.HasProcKind(ProcKind(7)) {
 		t.Error("HasProcKind wrong")
 	}
+	// A kind no processor has, such as one read from a hand-edited
+	// mapping file, addresses nothing rather than panicking.
+	if md.Accessible(ProcKind(7)) != nil || md.CanAccess(ProcKind(7), SysMem) {
+		t.Error("out-of-range ProcKind must address no memory")
+	}
 }
 
 func TestNewModelDirect(t *testing.T) {
@@ -168,6 +173,10 @@ func TestNewModelDirect(t *testing.T) {
 	}
 	if got := md.Accessible(GPU); len(got) != 2 {
 		t.Fatalf("Accessible(GPU) = %v", got)
+	}
+	out := NewModel("out-of-range", map[ProcKind][]MemKind{CPU: {SysMem}, ProcKind(9): {SysMem}})
+	if out.HasProcKind(ProcKind(9)) || out.CanAccess(ProcKind(9), SysMem) || len(out.ProcKinds) != 1 {
+		t.Fatalf("NewModel kept an out-of-range kind: %v", out.ProcKinds)
 	}
 }
 

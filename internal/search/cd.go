@@ -220,12 +220,13 @@ func setLabels(tr *tracker, taskName string, mv move) {
 // memory kinds.
 //
 // When the evaluator supports batch evaluation, the whole remaining move
-// set is materialized against the incumbent and submitted speculatively
-// before the sequential accept loop; on an accepted improvement the
-// remaining moves are re-built and re-prefetched from the new incumbent.
-// The sequence of candidates passed to Evaluate is exactly the sequential
-// one — each candidate is built from the incumbent current at its turn — so
-// the trajectory is byte-identical with or without batching.
+// set is materialized against the incumbent and measured in one Prefetch
+// before the sequential accept loop commits it in enumeration order; on an
+// accepted improvement the remaining moves are re-built and re-prefetched
+// from the new incumbent. The sequence of candidates passed to Evaluate is
+// exactly the sequential one — each candidate is built from the incumbent
+// current at its turn — so the trajectory is byte-identical with or without
+// batching.
 func (c *CCD) optimizeTask(p *Problem, tr *tracker, og *overlap.Graph, tid taskir.TaskID, budget Budget) {
 	t := p.Graph.Task(tid)
 	observe := tr.obs.Enabled()

@@ -5,7 +5,6 @@ package search
 
 import (
 	"math"
-	"sync"
 
 	"automap/internal/analyze"
 	"automap/internal/machine"
@@ -59,10 +58,9 @@ type PruningEvaluator struct {
 	// spec caches verdicts computed speculatively by Prefetch, without
 	// the counter/overhead side effects; Evaluate consults it so a fresh
 	// check need not repeat the analysis, but still commits the check's
-	// observable effects (Checked++, metrics, ChargeOverhead). specMu
-	// guards it against overlapping Prefetch calls.
-	specMu sync.Mutex
-	spec   map[string]pruneVerdict
+	// observable effects (Checked++, metrics, ChargeOverhead). Prefetch
+	// and Evaluate both run on the search goroutine, so it needs no lock.
+	spec map[string]pruneVerdict
 
 	// Checked counts fresh static checks; Pruned counts evaluations
 	// answered statically (including cached re-suggestions of pruned
@@ -132,13 +130,9 @@ func (e *PruningEvaluator) Evaluate(mp *mapping.Mapping) Evaluation {
 		// A speculative verdict from Prefetch answers the analysis
 		// question, but the check's observable effects still commit
 		// here, exactly as if the analysis ran now.
-		e.specMu.Lock()
 		specV, specSeen := e.spec[key]
 		if specSeen {
 			delete(e.spec, key)
-		}
-		e.specMu.Unlock()
-		if specSeen {
 			v = specV
 		} else {
 			v = e.check(mp)
@@ -178,14 +172,10 @@ func (e *PruningEvaluator) Prefetch(cands []*mapping.Mapping) {
 			}
 			continue
 		}
-		e.specMu.Lock()
 		v, seen := e.spec[key]
-		e.specMu.Unlock()
 		if !seen {
 			v = e.check(mp)
-			e.specMu.Lock()
 			e.spec[key] = v
-			e.specMu.Unlock()
 		}
 		if !v.bad {
 			feasible = append(feasible, mp)

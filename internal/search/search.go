@@ -60,24 +60,17 @@ type Evaluator interface {
 	ChargeOverhead(sec float64)
 }
 
-// BatchEvaluator is an optional Evaluator extension for speculative batch
-// evaluation. Prefetch MAY measure any of the candidates concurrently but
-// MUST have no observable side effects: no counters, no search-time
-// charges, no database or telemetry writes. All effects commit in the
-// subsequent sequential Evaluate calls, so an algorithm that prefetches a
-// batch and then evaluates its members in enumeration order produces a
-// trajectory byte-identical to not prefetching at all. Implementations are
-// free to ignore any or all candidates (Prefetch is purely advisory).
-//
-// Supersede semantics: each Prefetch call REPLACES any previous batch —
-// the contract algorithms rely on when they re-batch from a new incumbent
-// after an accept (see CCD.optimizeTask). Speculative work for candidates
-// that appear in neither the new batch nor a waiting Evaluate may be
-// abandoned or thrown away; because speculation has no observable
-// effects, that is invisible to the trajectory and shows up only in
-// wall-clock time. Algorithms should therefore prefetch the
-// full remaining enumeration each time rather than rationing batches —
-// stale entries cost at most the work already in flight.
+// BatchEvaluator is an optional Evaluator extension for batch evaluation.
+// Prefetch MAY measure any of the candidates concurrently and blocks until
+// it is done; it is called on the same goroutine as Evaluate. It MUST have
+// no observable side effects: no counters, no search-time charges, no
+// database or telemetry writes. All effects commit in the subsequent
+// sequential Evaluate calls, so an algorithm that prefetches a batch and
+// then evaluates its members in enumeration order produces a trajectory
+// byte-identical to not prefetching at all. Implementations are free to
+// ignore any or all candidates, and to keep or drop results a later batch
+// does not repeat (Prefetch is purely advisory); that shows up only in
+// wall-clock time.
 type BatchEvaluator interface {
 	Evaluator
 	Prefetch(cands []*mapping.Mapping)
