@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"automap/internal/checkpoint"
 	"automap/internal/machine"
@@ -688,30 +687,18 @@ func (e *Evaluator) Prefetch(cands []*mapping.Mapping) {
 		}
 		jobs = append(jobs, job{key: key, mp: mp})
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range min(e.workers, len(jobs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for e.budget.ContextStop() == "" {
-				i := int(next.Add(1) - 1)
-				if i >= len(jobs) {
-					return
-				}
-				start := e.wall.now()
-				results, err := e.runner.Measure(jobs[i].key, jobs[i].mp, e.cfgs)
-				if err != nil {
-					// Placement failed: every run failed, and nil results
-					// commit as failures.
-					results = make([]*sim.Result, len(e.cfgs))
-				}
-				e.wall.workerEval(w, e.wall.now()-start)
-				jobs[i].results = results
-			}
-		}()
-	}
-	wg.Wait()
+	stop := func() bool { return e.budget.ContextStop() != "" }
+	parallel(len(jobs), e.workers, stop, func(w, i int) {
+		start := e.wall.now()
+		results, err := e.runner.Measure(jobs[i].key, jobs[i].mp, e.cfgs)
+		if err != nil {
+			// Placement failed: every run failed, and nil results
+			// commit as failures.
+			results = make([]*sim.Result, len(e.cfgs))
+		}
+		e.wall.workerEval(w, e.wall.now()-start)
+		jobs[i].results = results
+	})
 	for _, j := range jobs {
 		if j.results == nil {
 			continue // cancelled before its turn

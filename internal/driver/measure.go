@@ -31,6 +31,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"automap/internal/mapping"
 	"automap/internal/sim"
@@ -99,28 +100,39 @@ func measureRuns(inst simRunner, key string, mp *mapping.Mapping, cfgs []sim.Con
 	results := make([]*sim.Result, len(cfgs))
 	n := min(workers, len(cfgs))
 	errs := make([]error, n)
-	run := func(c int) {
+	parallel(n, n, nil, func(_, c int) {
 		lo, hi := c*len(cfgs)/n, (c+1)*len(cfgs)/n
 		res, err := inst.Measure(key, mp, cfgs[lo:hi])
 		copy(results[lo:hi], res)
 		errs[c] = err
-	}
-	var wg sync.WaitGroup
-	for c := 1; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			run(c)
-		}(c)
-	}
-	if n > 0 {
-		run(0)
-	}
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return results, err
 		}
 	}
 	return results, nil
+}
+
+// parallel calls fn(w, i) for every i < n on at most `workers` goroutines,
+// w being the goroutine's index. Each goroutine takes the next i from a
+// shared counter, and stops before taking one once stop (if non-nil)
+// reports true. parallel returns when every goroutine has.
+func parallel(n, workers int, stop func() bool, fn func(w, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop == nil || !stop() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }

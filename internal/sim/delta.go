@@ -52,19 +52,17 @@ type DeltaInstance struct {
 	// classification (the patcher itself tracks exact dirtiness).
 	neigh [][]taskir.CollectionID
 
-	// base is published by pointer: an accept swaps in a fresh immutable
-	// snapshot with one atomic store, and in-flight workers keep patching
-	// against the snapshot they loaded — a superseded base is never
-	// mutated, only unreferenced. SetBase on the search goroutine
-	// therefore never blocks behind (or stalls) a worker mid-patch.
+	// base is published by pointer: SetBase swaps in a fresh immutable
+	// snapshot with one atomic store, and a replaced snapshot is never
+	// mutated, only unreferenced. The driver calls SetBase between
+	// measurement batches, so the goroutines of one batch all load the
+	// same snapshot.
 	base atomic.Pointer[deltaBase]
 }
 
-// deltaBase is one base-mapping snapshot. In-flight evaluations hold the
-// snapshot they started with, so a concurrent SetBase never mixes two
-// bases inside one patch (results are byte-identical either way; only
-// which path served them could differ). All fields except the lazily
-// memoized record are immutable after publication.
+// deltaBase is one base-mapping snapshot. All fields except the lazily
+// memoized record are immutable after publication; the goroutines of a
+// batch may reach the lazy record together, and sync.Once builds it once.
 type deltaBase struct {
 	key string
 	mp  *mapping.Mapping

@@ -160,8 +160,10 @@ echo "== worker scaling smoke"
 # >= 2 cores and the driver clamps the pool to GOMAXPROCS so extra workers
 # cannot add oversubscription overhead. Trajectory byte-identity at both
 # worker counts is proven by the smokes above; this gate is purely
-# wall-clock. On one core the clamp makes -workers 8 identical to
-# -workers 1, so the comparison would measure only noise and is skipped.
+# wall-clock. Each side is the best of 3 alternating runs, so one stretch
+# of host load during a single run does not fail the gate. On one core the
+# clamp makes -workers 8 identical to -workers 1, so the comparison would
+# measure only noise and is skipped.
 cores=$( (nproc || sysctl -n hw.ncpu || echo 1) 2>/dev/null | head -n1 )
 if [ "$cores" -ge 2 ]; then
     # No `time` builtin in POSIX sh; nanosecond wall-clock via GNU date.
@@ -171,15 +173,22 @@ if [ "$cores" -ge 2 ]; then
         e=$(date +%s%N)
         awk -v s="$s" -v e="$e" 'BEGIN { printf "%.3f", (e - s) / 1e9 }'
     }
-    t1=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers 1)
-    t8=$(wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers 8)
+    htr() {
+        wall ./bin/automap search -app htr -input 32x256y36z -nodes 2 -algo ccd -seed 7 -workers "$1"
+    }
+    lower() { awk -v a="$1" -v b="$2" 'BEGIN { print (b < a) ? b : a }'; }
+    t1=$(htr 1); t8=$(htr 8)
+    for _ in 2 3; do
+        t1=$(lower "$t1" "$(htr 1)")
+        t8=$(lower "$t8" "$(htr 8)")
+    done
     awk -v t1="$t1" -v t8="$t8" -v cores="$cores" 'BEGIN {
         if (t8 > t1 * 1.10) {
             printf "REGRESSION: htr -workers 8 (%.2fs) > 1.10x -workers 1 (%.2fs) on %d cores\n", t8, t1, cores
             exit 1
         }
         speedup = (t8 > 0) ? t1 / t8 : 0
-        printf "htr scaling: w1 %.2fs, w8 %.2fs, speedup %.2fx on %d cores\n", t1, t8, speedup, cores
+        printf "htr scaling (best of 3): w1 %.2fs, w8 %.2fs, speedup %.2fx on %d cores\n", t1, t8, speedup, cores
     }'
 else
     echo "SKIP worker-scaling gate: $cores core (the clamp makes -workers 8 identical to -workers 1 here)"
